@@ -28,6 +28,7 @@ from .focal import (
     confocal,
     divisor_matching_distance,
     focal_divisor,
+    param_focal_divisor,
     real_foci,
 )
 from .poly import BiPoly, TriPoly, UniPoly, divided_difference_pair, monomials_of_degree
@@ -76,6 +77,7 @@ __all__ = [
     "locate_singularities",
     "match_focal_pairs",
     "monomials_of_degree",
+    "param_focal_divisor",
     "random_rational_curve",
     "real_foci",
     "restriction_matrix",

@@ -26,7 +26,7 @@ from .equiclassical import (
 )
 from .errors import FocalCurvesError, ToleranceAmbiguity
 from .experiment import run_rank_experiment
-from .focal import divisor_matching_distance, focal_divisor
+from .focal import divisor_matching_distance, focal_divisor, param_focal_divisor
 from .poly import TriPoly, UniPoly, monomials_of_degree
 from .ratgen import locate_singularities
 from .rootfind import find_roots
@@ -87,20 +87,15 @@ def cmd_foci(args):
     if len(given) != 1:
         raise ValueError("provide exactly one of --dual, --primal, --param")
     source = given[0]
-    sample_curve = None
     if source == "dual":
-        g = tripoly_from_json(_load_json(args.dual))
-        fd, diag = focal_divisor(g, tol=args.tol)
-        payload = focal_to_json(fd, diag)
+        sample_curve = tripoly_from_json(_load_json(args.dual))
+        payload = focal_to_json(*focal_divisor(sample_curve, tol=args.tol))
     elif source == "param":
-        param = param_from_json(_load_json(args.param))
-        g = implicitize(dual_param(param)).as_real_float()
-        sample_curve = param
-        fd, diag = focal_divisor(g, tol=args.tol)
-        payload = focal_to_json(fd, diag)
+        sample_curve = param_from_json(_load_json(args.param))
+        payload = focal_to_json(*param_focal_divisor(sample_curve, tol=args.tol))
     else:
-        f = tripoly_from_json(_load_json(args.primal))
-        focal_poly = isotropic_focal_poly(f, "+")
+        sample_curve = tripoly_from_json(_load_json(args.primal))
+        focal_poly = isotropic_focal_poly(sample_curve)
         roots = find_roots(focal_poly, tol=args.tol)
         payload = {
             "focal_divisor": [{"re": r.real, "im": r.imag, "mult": m,
@@ -109,7 +104,6 @@ def cmd_foci(args):
             "degree_drop": roots.degree_drop,
             "diagnostics": {"route": "isotropic-discriminant"},
         }
-        sample_curve = f
     if args.emit_points:
         if source == "param":
             ts = np.linspace(-4, 4, args.emit_points)
@@ -120,8 +114,7 @@ def cmd_foci(args):
                     pts.append([float((x / z).real), float((y / z).real)])
             payload["points"] = pts
         else:
-            target = sample_curve if source == "primal" else g
-            payload["points"] = _sample_implicit(target, args.emit_points)
+            payload["points"] = _sample_implicit(sample_curve, args.emit_points)
     _emit(payload, args)
     return 0
 
@@ -206,7 +199,8 @@ def cmd_rank_experiment(args):
     if args.format == "table":
         s = payload["summary"]
         _log(f"c={args.degree} kappa={args.kappa}: clean {s['clean']}, "
-             f"degenerate {s['degenerate']}, violations {s['violations']}")
+             f"degenerate {s['degenerate']}, errors {s['errors']}, "
+             f"violations {s['violations']}")
     _emit(payload, args)
     return 1 if report.violations else 0
 
@@ -264,10 +258,9 @@ def cmd_kernel(args):
     scheme = EquiclassicalScheme.from_census(census).validate(param)
     cm = equiclassical_conditions(param, scheme, iso_tol=args.tol)
     basis = tangent_space_basis(cm)
-    g = implicitize(param).normalized_top_w().as_real_float()
     c = param.degree
     d = 2 * (c - 1) - census.kappa
-    report = focal_jacobian(g, basis, scheme=scheme, param=param, expected_class=d)
+    report = focal_jacobian(c, basis, scheme=scheme, param=param, expected_class=d)
     payload = {
         "degree": c,
         "delta": census.delta,

@@ -1,9 +1,12 @@
 """Dual curves: tangent-line parameterizations, implicitization, and the
 direct isotropic-tangent focal polynomial for smooth implicit curves.
 
-Two routes into the focal machinery are supported: rational curves go through
-the tangent parameterization plus exact resultant implicitization, and smooth
-implicit curves go through the binary discriminant of the isotropic pencil.
+Two routes into the focal machinery are supported.  Rational curves go
+through the tangent parameterization alone: it meets the isotropic line at the
+roots of one univariate polynomial (``focal.param_focal_divisor``), so no
+variable is eliminated.  Smooth implicit curves go through the binary
+discriminant of the isotropic pencil.  Exact resultant implicitization of a
+parameterization is kept for the implicit equation itself.
 Implicit-to-implicit dualization by elimination ideals is deliberately out of
 scope.
 """
@@ -27,9 +30,6 @@ from .poly import TriPoly, UniPoly, divided_difference_pair, unipoly_gcd, unipol
 from .resultants import resultant_lists, resultant_tripoly_lists
 from .rootfind import find_roots
 from .scalars import QQi, exact_re_im, fraction_content, to_complex
-
-#: continued-fraction snap applied before exact elimination on float input
-RATIONALIZE_DENOMINATOR = 10**12
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,21 @@ class RationalCurveParam:
         da, db, dc = a.derivative(), b.derivative(), c.derivative()
         return (b * dc - c * db, c * da - a * dc, a * db - b * da)
 
-    def rationalized(self, max_denominator=RATIONALIZE_DENOMINATOR):
+    def rationalized(self):
         if self.is_exact:
             return self
-        return RationalCurveParam(self.a.as_exact(max_denominator),
-                                  self.b.as_exact(max_denominator),
-                                  self.c.as_exact(max_denominator))
+        return RationalCurveParam(self.a.as_exact(), self.b.as_exact(), self.c.as_exact())
+
+    def passes_through_origin(self):
+        """Does the image pass through (0 : 0 : 1)?
+
+        At a finite parameter that is a common root of a and b; at t = oo it
+        means that a and b both have lower degree than the parameterization.
+        """
+        p = self.rationalized()
+        a, b = p.a.trimmed(), p.b.trimmed()
+        return (unipoly_gcd(a, b).effective_degree() > 0
+                or max(a.effective_degree(), b.effective_degree()) < p.degree)
 
     def validate(self, tol=1e-9):
         """Reject parameterizations with a common factor or a point image."""
@@ -130,7 +139,7 @@ def _scalar_content(p: RationalCurveParam):
     return fraction_content(parts)
 
 
-def _covering_suspected(p: RationalCurveParam) -> bool:
+def covering_suspected(p: RationalCurveParam) -> bool:
     """Fiber test: a multiple cover gives every generic point extra preimages.
 
     Specializing the divided-difference pair at a random rational parameter
@@ -154,14 +163,15 @@ def _covering_suspected(p: RationalCurveParam) -> bool:
     return decided
 
 
-def implicitize(p: RationalCurveParam, designated_unit=True) -> TriPoly:
+def implicitize(p: RationalCurveParam) -> TriPoly:
     """Implicit equation of the image curve via the Sylvester resultant.
 
     Eliminates t from (x c(t) - z a(t), y c(t) - z b(t)); the extraneous z
-    power and rational content are removed.  When the elimination pattern or
-    a fiber test indicates the parameterization covers its image multiple
-    times, a NonBirationalWarning is issued and the (power of the) reduced
-    equation is returned as computed.
+    power and rational content are removed, and the result is scaled so its
+    w^degree coefficient (or else its leading coefficient) is 1.  When the
+    elimination pattern or a fiber test indicates the parameterization covers
+    its image multiple times, a NonBirationalWarning is issued and the (power
+    of the) reduced equation is returned as computed.
     """
     p = p.rationalized().validate()
     n = p.degree
@@ -183,7 +193,7 @@ def implicitize(p: RationalCurveParam, designated_unit=True) -> TriPoly:
     if zmin:
         res = TriPoly({(e[0], e[1], e[2] - zmin): c for e, c in res.terms.items()})
     res = res.primitive()
-    if res.degree != n or _covering_suspected(p):
+    if res.degree != n or covering_suspected(p):
         warnings.warn(
             f"implicit equation of degree {res.degree} from a degree-{n} "
             "parameterization fails the birationality pattern; the "
@@ -191,14 +201,11 @@ def implicitize(p: RationalCurveParam, designated_unit=True) -> TriPoly:
             NonBirationalWarning,
             stacklevel=2,
         )
-    if designated_unit:
-        top = res.coefficient((0, 0, res.degree))
-        if top:
-            res = res * (1 / top)
-        else:
-            lead = min(res.terms, key=lambda e: (-e[2], -e[1]))
-            res = res * (1 / res.terms[lead])
-    return res
+    top = res.coefficient((0, 0, res.degree))
+    if top:
+        return res * (1 / top)
+    lead = min(res.terms, key=lambda e: (-e[2], -e[1]))
+    return res * (1 / res.terms[lead])
 
 
 def _random_rational_matrix(rng):
@@ -238,23 +245,21 @@ def _binary_gcd_degree(forms):
     return g.effective_degree() + (1 if at_infinity else 0)
 
 
-def smoothness_probe(f: TriPoly, trials=5, seed=0):
+def smoothness_probe(f: TriPoly):
     """Monte Carlo smoothness test via eliminants of the partial derivatives.
 
     In random coordinates a singular point forces the three pairwise z-
     eliminants of the gradient to share a root; a clean trial certifies
     smoothness (up to the probabilistic miss chance of the random frames,
-    which is measure zero and documented).
+    which is measure zero and documented).  Five seeded frames are tried.
     """
     f = f.as_exact()
-    rng = np.random.default_rng(seed)
-    saw_common = 0
-    for _ in range(trials):
+    rng = np.random.default_rng(0)
+    for _ in range(5):
         m = _random_rational_matrix(rng)
         ft = f.substitute_linear(m)
         parts = [ft.diff(axis) for axis in range(3)]
         if any(pp.is_zero() for pp in parts):
-            saw_common += 1
             continue
         lists = [_z_coefficient_forms(pp) for pp in parts]
         if any(len(ls) < 2 for ls in lists):
@@ -264,39 +269,34 @@ def smoothness_probe(f: TriPoly, trials=5, seed=0):
             b2 = resultant_tripoly_lists(lists[0], lists[2])
             b3 = resultant_tripoly_lists(lists[1], lists[2])
         except ZeroPolynomial:
-            saw_common += 1
             continue
         if any(b.is_zero() for b in (b1, b2, b3)):
-            saw_common += 1
             continue
         if _binary_gcd_degree([b1, b2, b3]) == 0:
             return True
-        saw_common += 1
     return False
 
 
-def isotropic_focal_poly(f: TriPoly, sign="+", check_smooth=True, probe_seed=0):
+def isotropic_focal_poly(f: TriPoly):
     """Focal polynomial of a smooth implicit curve by the discriminant route.
 
-    Substituting the isotropic pencil x = r z -/+ i y into f gives a binary
+    Substituting the isotropic pencil x = r z - i y into f gives a binary
     form in (y : z); the values of r where it acquires a repeated root are
     the isotropic tangents, i.e. the roots of the focal polynomial of the
     dual curve, up to scale.  Returned as a UniPoly in r of formal degree
     d(d-1).
     """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
     if not f.is_homogeneous or f.degree < 2:
         raise ValueError("need a homogeneous curve of degree >= 2")
     f = f.as_exact()
-    if check_smooth and not smoothness_probe(f, seed=probe_seed):
+    if not smoothness_probe(f):
         raise SingularInputRejected(
             "smoothness probe failed; singular points would contaminate the "
             "discriminant with extraneous factors")
     d = f.degree
-    iy = QQi(0, -1) if sign == "+" else QQi(0, 1)
+    iy = QQi(0, -1)
 
-    # phi_r(y, z) = f(r z + iy_coef * y, y, z): coefficient of y^j z^(d-j)
+    # phi_r(y, z) = f(r z + iy * y, y, z): coefficient of y^j z^(d-j)
     # is a polynomial in r; build the whole grid exactly.
     yz = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]  # yz[j][rpow]
     for (a, b, e), coef in f.terms.items():

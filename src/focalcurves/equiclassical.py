@@ -19,15 +19,28 @@ import numpy as np
 
 from .errors import (
     CensusMismatch,
+    NormalizationFailure,
     SchemeOnIsotropicConic,
     ToleranceAmbiguity,
     TooFewFoci,
 )
 from .poly import TriPoly, monomials_of_degree
-from .ratgen import SingularityData, projective_distance
+from .ratgen import SingularityData, isotropic_margin, projective_distance
 from .scalars import to_complex
 
 _REAL_POINT_TOL = 1e-8
+#: singular values above RANK_TOL times the largest one count toward a rank
+RANK_TOL = 1e-8
+#: the focal jacobian refuses to decide a rank when a singular value lies
+#: within this factor of the threshold
+_AMBIGUITY_FACTOR = 10.0
+
+
+def numerical_rank(sv):
+    """Singular values above RANK_TOL * sv[0]; 0 for empty or zero input."""
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
 @dataclass(frozen=True)
@@ -53,31 +66,19 @@ class EquiclassicalScheme:
     def kappa(self):
         return len(self.cusps)
 
-    def check_isotropic_disjoint(self, tol=1e-9):
-        for p in self.points():
-            v = np.asarray(p, dtype=complex)
-            margin = abs(v[0] ** 2 + v[1] ** 2) / float(np.linalg.norm(v) ** 2)
-            if margin < tol:
-                raise SchemeOnIsotropicConic(
-                    f"scheme point {v} lies on u^2+v^2=0 within tolerance")
-
-    def validate(self, param, tol=1e-7):
-        """Check the scheme against its parameterization."""
+    def validate(self, param):
+        """Check the scheme against its parameterization, to 1e-7."""
         for n in self.nodes:
             s, t = n.params
-            if projective_distance(param.evaluate(s), param.evaluate(t)) > tol:
+            if projective_distance(param.evaluate(s), param.evaluate(t)) > 1e-7:
                 raise CensusMismatch(f"node parameters {n.params} do not meet")
         wedges = [w.as_float() for w in param.wedge()]
         wscale = max(max((abs(c) for c in w.coeffs), default=0.0) for w in wedges)
         for cu in self.cusps:
             val = max(abs(to_complex(w.evaluate(cu.param))) for w in wedges)
-            if val > tol * max(wscale, 1.0):
+            if val > 1e-7 * max(wscale, 1.0):
                 raise CensusMismatch(f"no cusp at parameter {cu.param}")
         return self
-
-
-def _is_real_vector(v, tol=_REAL_POINT_TOL):
-    return bool(np.max(np.abs(np.asarray(v, dtype=complex).imag)) <= tol)
 
 
 def _monomial_values(point, monomials):
@@ -135,47 +136,28 @@ def _cusp_condition_values(param, t0, monomials):
     return np.array(vals), np.array(svals)
 
 
-def _classify_nodes(nodes, tol=1e-7):
+def _conjugate_split(items, key, distance, real_tol, what):
+    """Real items, and one representative of each conjugate pair.
+
+    ``key`` gives an item's point or parameter and ``distance`` compares two
+    of them; partners lie within 1e-7, and an item without one breaks
+    conjugation stability.
+    """
     reals, complexes = [], []
-    for n in nodes:
-        (reals if _is_real_vector(n.point) else complexes).append(n)
+    for it in items:
+        real = np.max(np.abs(np.asarray(key(it), dtype=complex).imag)) <= real_tol
+        (reals if real else complexes).append(it)
     pairs = []
     used = [False] * len(complexes)
-    for i, n in enumerate(complexes):
+    for i, it in enumerate(complexes):
         if used[i]:
             continue
-        partner = None
-        for j in range(i + 1, len(complexes)):
-            if used[j]:
-                continue
-            if projective_distance(np.conj(n.point), complexes[j].point) < tol:
-                partner = j
-                break
+        partner = next((j for j in range(i + 1, len(complexes)) if not used[j]
+                        and distance(np.conj(key(it)), key(complexes[j])) < 1e-7), None)
         if partner is None:
-            raise CensusMismatch("node set is not conjugation-stable")
+            raise CensusMismatch(f"{what} set is not conjugation-stable")
         used[i] = used[partner] = True
-        pairs.append(n)
-    return reals, pairs
-
-
-def _classify_cusps(cusps, tol=1e-7):
-    reals, complexes = [], []
-    for c in cusps:
-        (reals if abs(c.param.imag) <= tol else complexes).append(c)
-    pairs = []
-    used = [False] * len(complexes)
-    for i, c in enumerate(complexes):
-        if used[i]:
-            continue
-        partner = None
-        for j in range(i + 1, len(complexes)):
-            if not used[j] and abs(np.conj(c.param) - complexes[j].param) < tol:
-                partner = j
-                break
-        if partner is None:
-            raise CensusMismatch("cusp set is not conjugation-stable")
-        used[i] = used[partner] = True
-        pairs.append(c)
+        pairs.append(it)
     return reals, pairs
 
 
@@ -198,22 +180,17 @@ class ConditionMatrix:
     def n_columns(self):
         return self.rows.shape[1]
 
-    def rank(self, tol=1e-8):
+    def rank(self):
         if self.rows.size == 0:
             return 0
-        sv = np.linalg.svd(self.rows, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            return 0
-        return int(np.sum(sv > tol * sv[0]))
+        return numerical_rank(np.linalg.svd(self.rows, compute_uv=False))
 
-    def null_space(self, tol=1e-8):
+    def null_space(self):
         """Orthonormal basis of the solution space, as rows."""
-        n = self.n_columns
         if self.rows.size == 0:
-            return np.eye(n)
+            return np.eye(self.n_columns)
         _, sv, vh = np.linalg.svd(self.rows, full_matrices=True)
-        rank = int(np.sum(sv > tol * sv[0])) if sv.size and sv[0] > 0 else 0
-        return vh[rank:]
+        return vh[numerical_rank(sv):]
 
 
 def condition_matrix(param, scheme: EquiclassicalScheme, degree, chart,
@@ -225,12 +202,16 @@ def condition_matrix(param, scheme: EquiclassicalScheme, degree, chart,
     cusp pair.  With ``chart`` the w^degree coefficient slot is removed,
     matching the affine chart where it is pinned to 1.
     """
-    scheme.check_isotropic_disjoint(iso_tol)
+    margin = isotropic_margin(scheme.points())
+    if margin < iso_tol:
+        raise SchemeOnIsotropicConic(
+            f"a scheme point lies on u^2+v^2=0 within tolerance (margin {margin:.3e})")
     monos = tuple(monomials_of_degree(degree, drop_top_w=chart))
     rows = []
     complex_rows = []
 
-    real_nodes, pair_nodes = _classify_nodes(scheme.nodes)
+    real_nodes, pair_nodes = _conjugate_split(
+        scheme.nodes, lambda n: n.point, projective_distance, _REAL_POINT_TOL, "node")
     for n in real_nodes:
         vals = _monomial_values(n.point, monos)
         rows.append(vals.real)
@@ -242,7 +223,8 @@ def condition_matrix(param, scheme: EquiclassicalScheme, degree, chart,
         complex_rows.append(vals)
         complex_rows.append(np.conj(vals))
 
-    real_cusps, pair_cusps = _classify_cusps(scheme.cusps)
+    real_cusps, pair_cusps = _conjugate_split(
+        scheme.cusps, lambda cu: cu.param, lambda s, t: abs(s - t), 1e-7, "cusp")
     for cu in real_cusps:
         vals, svals = _cusp_condition_values(param, cu.param, monos)
         rows.append(vals.real)
@@ -259,12 +241,8 @@ def condition_matrix(param, scheme: EquiclassicalScheme, degree, chart,
     for i, r in enumerate(rows):
         norm = np.linalg.norm(r)
         mat[i] = r / norm if norm > 0 else r
-    if complex_rows:
-        cmat = np.array(complex_rows)
-        sv = np.linalg.svd(cmat, compute_uv=False)
-        crank = int(np.sum(sv > 1e-8 * sv[0])) if sv.size and sv[0] > 0 else 0
-    else:
-        crank = 0
+    crank = (numerical_rank(np.linalg.svd(np.array(complex_rows), compute_uv=False))
+             if complex_rows else 0)
     return ConditionMatrix(mat, monos, degree, scheme.delta, scheme.kappa, crank)
 
 
@@ -279,14 +257,14 @@ def equiclassical_conditions(d_curve, z: EquiclassicalScheme,
     return cm
 
 
-def tangent_space_basis(cm: ConditionMatrix, rank_tol=1e-8):
+def tangent_space_basis(cm: ConditionMatrix):
     """Tangent directions as TriPolys with zero w^degree coefficient.
 
     With no conditions the basis is the chart monomials themselves (so the
     coordinates match the alpha parameters of the naive expansion); otherwise
     it is an orthonormal null-space basis of the condition matrix.
     """
-    null = cm.null_space(rank_tol)
+    null = cm.null_space()
     basis = []
     for vec in null:
         basis.append(TriPoly({m: complex(v) for m, v in zip(cm.monomials, vec)
@@ -333,40 +311,38 @@ class FocalJacobianReport:
                 and self.kernel_dim == self.expected_kernel)
 
 
-def focal_jacobian(g: TriPoly, tangent_basis, *, scheme=None, param=None,
-                   expected_class=None, rank_tol=1e-8, ambiguity_factor=10.0,
-                   real_tol=1e-8) -> FocalJacobianReport:
-    """Differential of the focal map on a tangent basis, with kernel analysis.
+def focal_jacobian(c, tangent_basis, *, scheme=None, param=None,
+                   expected_class=None) -> FocalJacobianReport:
+    """Differential of the focal map at a dual curve of degree ``c``, on a
+    tangent basis of the chart where its w^c coefficient is 1, with kernel
+    analysis.
 
-    Each kernel element is divided by u^2 + v^2 and the quotient is checked
-    against the degree-(c-2) condition system when the scheme is supplied.
-    Raises ToleranceAmbiguity when a singular value falls within a factor
-    ``ambiguity_factor`` of the rank threshold.
+    That chart needs the curve to miss (0 : 0 : 1), which is checked when the
+    parameterization is supplied.  Each kernel element is divided by u^2 + v^2
+    and the quotient is checked against the degree-(c-2) condition system when
+    the scheme is supplied.  Raises ToleranceAmbiguity when a singular value
+    falls within a factor 10 of the rank threshold.
     """
-    c = g.degree
-    if not g.is_real(1e-6):
-        raise ValueError("focal jacobian is defined for real curves")
-    top = g.coefficient((0, 0, c))
-    if abs(to_complex(top) - 1.0) > 1e-6:
-        raise ValueError("normalize g to unit w^degree coefficient first")
+    if param is not None and param.passes_through_origin():
+        raise NormalizationFailure(
+            "the curve passes through (0:0:1), so its w^degree coefficient vanishes")
 
     jac = restriction_matrix(c, tangent_basis)
     m = jac.shape[1]
     if m == 0:
         raise ValueError("empty tangent basis")
-    u, sv, vh = np.linalg.svd(jac)
-    smax = sv[0] if sv.size else 0.0
-    threshold = rank_tol * smax
-    if smax > 0:
-        band = [s for s in sv if threshold / ambiguity_factor < s < threshold * ambiguity_factor]
-        if band:
-            lo = int(np.sum(sv >= threshold * ambiguity_factor))
-            hi = int(np.sum(sv > threshold / ambiguity_factor))
-            raise ToleranceAmbiguity(
-                f"singular values {band} sit within a factor {ambiguity_factor} "
-                f"of the threshold {threshold:.3e}",
-                rank_candidates=(lo, hi), singular_values=sv)
-    rank = int(np.sum(sv > threshold)) if smax > 0 else 0
+    _, sv, vh = np.linalg.svd(jac)
+    threshold = RANK_TOL * sv[0]
+    band = [s for s in sv
+            if threshold / _AMBIGUITY_FACTOR < s < threshold * _AMBIGUITY_FACTOR]
+    if band:
+        lo = int(np.sum(sv >= threshold * _AMBIGUITY_FACTOR))
+        hi = int(np.sum(sv > threshold / _AMBIGUITY_FACTOR))
+        raise ToleranceAmbiguity(
+            f"singular values {band} sit within a factor {_AMBIGUITY_FACTOR} "
+            f"of the threshold {threshold:.3e}",
+            rank_candidates=(lo, hi), singular_values=sv)
+    rank = numerical_rank(sv)
     kernel_dim = m - rank
     if rank < len(sv) and rank > 0:
         sv_gap = float(sv[rank - 1] / sv[rank]) if sv[rank] > 0 else float("inf")
@@ -391,7 +367,7 @@ def focal_jacobian(g: TriPoly, tangent_basis, *, scheme=None, param=None,
     shifted_dim = None
     if scheme is not None and param is not None and c >= 2:
         cm_shift = condition_matrix(param, scheme, c - 2, chart=False)
-        shifted_dim = cm_shift.n_columns - cm_shift.rank(rank_tol)
+        shifted_dim = cm_shift.n_columns - cm_shift.rank()
         for q in quotients:
             vec = np.array([to_complex(x) for x in
                             q.coefficient_vector(cm_shift.monomials)])
@@ -426,18 +402,16 @@ def focal_jacobian(g: TriPoly, tangent_basis, *, scheme=None, param=None,
     )
 
 
-def shifted_section_dim(d_curve, z: EquiclassicalScheme, shift_degree=None,
-                        rank_tol=1e-8) -> int:
+def shifted_section_dim(d_curve, z: EquiclassicalScheme) -> int:
     """Dimension of degree-(c-2) forms through the equiclassical scheme.
 
     Must agree with the focal-jacobian kernel dimension; the agreement is the
     numerical content of the kernel identification.
     """
-    degree = z.degree - 2 if shift_degree is None else shift_degree
-    if degree < 0:
+    if z.degree < 2:
         return 0
-    cm = condition_matrix(d_curve, z, degree, chart=False)
-    return cm.n_columns - cm.rank(rank_tol)
+    cm = condition_matrix(d_curve, z, z.degree - 2, chart=False)
+    return cm.n_columns - cm.rank()
 
 
 def construct_min_class(foci, q: TriPoly | None = None) -> TriPoly:

@@ -8,7 +8,8 @@ equals the dimension of degree-(c-2) forms through the singular scheme.
 
 Trials whose draw violates the genericity hypotheses (census failures,
 conjugation instability, rank-threshold ambiguity, unexpected tangent
-dimension) are reported as degenerate, not as violations.
+dimension) are reported as degenerate, and trials where the root finder does
+not converge as errors; neither counts as a violation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dualize import implicitize
 from .equiclassical import (
     EquiclassicalScheme,
     equiclassical_conditions,
@@ -30,6 +30,7 @@ from .errors import (
     ClusterAmbiguity,
     FocalCurvesError,
     GenerationExhausted,
+    NonConvergence,
     SchemeOnIsotropicConic,
     ToleranceAmbiguity,
 )
@@ -45,7 +46,7 @@ class TrialRecord:
     kappa: int
     d: int
     seed: int
-    status: str  # "clean" | "degenerate" | "fail"
+    status: str  # "clean" | "degenerate" | "error" | "fail"
     reason: str | None
     tangent_dim: int | None = None
     rank: int | None = None
@@ -86,12 +87,13 @@ def run_rank_trial(c: int, kappa: int, seed: int, tol: float = 1e-9) -> TrialRec
             return TrialRecord(
                 c, kappa, d, seed, "degenerate",
                 f"tangent dimension {len(basis)} != expected {c + d + 1}")
-        g = implicitize(param).normalized_top_w().as_real_float()
-        report = focal_jacobian(g, basis, scheme=scheme, param=param,
+        report = focal_jacobian(c, basis, scheme=scheme, param=param,
                                 expected_class=d)
     except _DEGENERATE as exc:
         return TrialRecord(c, kappa, d, seed, "degenerate",
                            f"{type(exc).__name__}: {exc}")
+    except NonConvergence as exc:
+        return TrialRecord(c, kappa, d, seed, "error", f"NonConvergence: {exc}")
     except FocalCurvesError as exc:
         return TrialRecord(c, kappa, d, seed, "fail",
                            f"{type(exc).__name__}: {exc}")
@@ -141,6 +143,10 @@ class ExperimentReport:
         return sum(1 for r in self.records if r.status == "degenerate")
 
     @property
+    def errors(self):
+        return sum(1 for r in self.records if r.status == "error")
+
+    @property
     def violations(self):
         return sum(1 for r in self.records if r.status == "fail")
 
@@ -158,6 +164,7 @@ class ExperimentReport:
             "summary": {
                 "clean": self.clean,
                 "degenerate": self.degenerate,
+                "errors": self.errors,
                 "violations": self.violations,
                 "clean_fraction": self.clean_fraction,
             },

@@ -90,14 +90,6 @@ def rational_confocal_dim(d: int, kappa: int) -> int:
     return 3 - d + kappa
 
 
-def dual_class_of_rational(c: int, kappa: int) -> int:
-    """Class 2(c-1) - kappa of a rational nodal-cuspidal curve of degree c."""
-    d = 2 * (c - 1) - kappa
-    if d < 0:
-        raise Inadmissible("negative class")
-    return d
-
-
 def rational_node_count(c: int, kappa: int) -> int:
     """Node count forced by genus zero: (c-1)(c-2)/2 - kappa."""
     delta = (c - 1) * (c - 2) // 2 - kappa

@@ -28,7 +28,6 @@ from .scalars import (
     fraction_content,
     is_exact,
     rationalize_scalar,
-    re_im,
     to_complex,
 )
 
@@ -126,10 +125,6 @@ class TriPoly:
     def isotropic_conic(cls):
         """u^2 + v^2, the union of the two isotropic lines."""
         return cls({(2, 0, 0): 1, (0, 2, 0): 1})
-
-    @classmethod
-    def from_coefficient_vector(cls, vec, monomials):
-        return cls({m: c for m, c in zip(monomials, vec)})
 
     # -- predicates ---------------------------------------------------
 
@@ -326,21 +321,12 @@ class TriPoly:
             raise ZeroDivisionError("w^degree coefficient vanishes")
         return self * (1 / top)
 
-    # -- composition and coordinate changes ------------------------------
-
-    def compose_param(self, a, b, c):
-        """Pull back along t -> (a(t), b(t), c(t)); returns a UniPoly in t."""
-        pows = _power_tables((a, b, c), self.degree)
-        acc = None
-        for (i, j, k), coef in self.terms.items():
-            term = pows[0][i] * pows[1][j] * pows[2][k] * coef
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else UniPoly([Fraction(0)])
+    # -- coordinate changes --------------------------------------------------
 
     def substitute_linear(self, rows):
         """Substitute each variable by a linear form (rows of a 3x3 matrix)."""
         forms = [TriPoly.linear_form(*r) for r in rows]
-        pows = _power_tables_tri(forms, self.degree)
+        pows = _power_tables(forms, self.degree)
         acc = TriPoly.zero(self.degree)
         for (i, j, k), coef in self.terms.items():
             acc = acc + pows[0][i] * pows[1][j] * pows[2][k] * coef
@@ -358,11 +344,10 @@ class TriPoly:
             return TriPoly.zero(self.degree)
         return TriPoly({e: complex(to_complex(c).real) for e, c in self.terms.items()})
 
-    def as_exact(self, max_denominator=10**12):
+    def as_exact(self):
         if not self.terms:
             return TriPoly.zero(self.degree)
-        return TriPoly({e: rationalize_scalar(c, max_denominator)
-                        for e, c in self.terms.items()})
+        return TriPoly({e: rationalize_scalar(c) for e, c in self.terms.items()})
 
     def max_abs(self):
         return max((abs(to_complex(c)) for c in self.terms.values()), default=0.0)
@@ -377,16 +362,6 @@ class TriPoly:
 
 
 def _power_tables(polys, degree):
-    tables = []
-    for p in polys:
-        t = [UniPoly([Fraction(1)] if p.is_exact else [1.0 + 0j]), p]
-        while len(t) <= degree:
-            t.append(t[-1] * p)
-        tables.append(t)
-    return tables
-
-
-def _power_tables_tri(polys, degree):
     tables = []
     for p in polys:
         t = [TriPoly({(0, 0, 0): 1}), p]
@@ -414,10 +389,6 @@ class UniPoly:
     @classmethod
     def zero(cls):
         return cls([Fraction(0)])
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
 
     @classmethod
     def from_roots(cls, roots):
@@ -565,15 +536,11 @@ class UniPoly:
     def as_float(self):
         return UniPoly([to_complex(c) for c in self.coeffs])
 
-    def as_exact(self, max_denominator=10**12):
-        return UniPoly([rationalize_scalar(c, max_denominator) for c in self.coeffs])
+    def as_exact(self):
+        return UniPoly([rationalize_scalar(c) for c in self.coeffs])
 
     def complex_coeffs(self):
         return [to_complex(c) for c in self.coeffs]
-
-    def real_imag_parts(self):
-        res = [re_im(c) for c in self.coeffs]
-        return [r for r, _ in res], [i for _, i in res]
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dualize import RationalCurveParam, dual_param
 from .errors import CensusMismatch, ClusterAmbiguity, GenerationExhausted, ZeroPolynomial
-from .poly import UniPoly, divided_difference_pair, unipoly_gcd, unipoly_gcd_many
+from .poly import UniPoly, divided_difference_pair, unipoly_gcd_many
 from .resultants import resultant_bipoly_in_s
 from .rootfind import find_roots
 from .scalars import to_complex
@@ -200,16 +200,15 @@ def locate_singularities(param: RationalCurveParam, tol=1e-9) -> SingularityData
     return SingularityData(tuple(nodes), tuple(cusps), c)
 
 
-def _draw_fraction(rng, denominator=1000):
-    val = int(rng.integers(-denominator, denominator + 1))
+def _draw_fraction(rng):
+    val = int(rng.integers(-1000, 1001))
     if val == 0:
         val = 1
-    return Fraction(val, denominator)
+    return Fraction(val, 1000)
 
 
-def _draw_unipoly(rng, degree, denominator=1000):
-    coeffs = [_draw_fraction(rng, denominator) for _ in range(degree + 1)]
-    return UniPoly(coeffs)
+def _draw_unipoly(rng, degree):
+    return UniPoly([_draw_fraction(rng) for _ in range(degree + 1)])
 
 
 def _draw_cusp_params(rng, kappa):
@@ -253,17 +252,20 @@ def _integrate(p: UniPoly, constant):
     return UniPoly(coeffs)
 
 
-def _isotropic_margin(point):
-    p = np.asarray(point, dtype=complex)
-    return abs(p[0] ** 2 + p[1] ** 2) / float(np.linalg.norm(p) ** 2)
+def isotropic_margin(points):
+    """Smallest |u^2 + v^2| / |p|^2 over the points: how far they keep off the
+    isotropic conic u^2 + v^2 = 0 (inf for no points)."""
+    margins = [abs(p[0] ** 2 + p[1] ** 2) / float(np.linalg.norm(p) ** 2)
+               for p in (np.asarray(pt, dtype=complex) for pt in points)]
+    return min(margins, default=float("inf"))
 
 
-def generate_curve_with_census(c, kappa, seed, tol=1e-9, max_tries=_MAX_TRIES):
+def generate_curve_with_census(c, kappa, seed, tol=1e-9):
     """Draw a random rational curve of degree c with kappa cusps, plus its census.
 
     Rejection criteria (redrawn): wrong singularity census, non-simple
     singularities, a singular point too close to u^2 + v^2 = 0, the curve
-    through (0:0:1) (vanishing w^c coefficient after implicitization), or a
+    through (0:0:1) (vanishing w^c coefficient of its equation), or a
     reduced dual degree different from 2(c-1) - kappa.
     """
     if c < 2:
@@ -275,7 +277,7 @@ def generate_curve_with_census(c, kappa, seed, tol=1e-9, max_tries=_MAX_TRIES):
             f"the planted-cusp generator cannot reach kappa={kappa} at degree {c}")
     rng = np.random.default_rng(np.random.Philox(np.random.SeedSequence(int(seed))))
     expected_class = 2 * (c - 1) - kappa
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         cusp_params = _draw_cusp_params(rng, kappa)
         m = UniPoly([Fraction(1)])
         for tcusp in cusp_params:
@@ -289,8 +291,8 @@ def generate_curve_with_census(c, kappa, seed, tol=1e-9, max_tries=_MAX_TRIES):
             param.validate(tol)
         except Exception:
             continue
-        if unipoly_gcd(x, y).effective_degree() > 0:
-            continue  # curve passes through (0:0:1); w^c coefficient would vanish
+        if param.passes_through_origin():
+            continue  # the w^c coefficient would vanish
         try:
             census = locate_singularities(param, tol)
         except (CensusMismatch, ClusterAmbiguity, ZeroPolynomial):
@@ -299,17 +301,17 @@ def generate_curve_with_census(c, kappa, seed, tol=1e-9, max_tries=_MAX_TRIES):
             continue
         if not _well_separated(census):
             continue
-        if any(_isotropic_margin(pt) < _ISO_MARGIN for pt in census.points()):
+        if isotropic_margin(census.points()) < _ISO_MARGIN:
             continue
         if dual_param(param).degree != expected_class:
             continue
         return param, census
     raise GenerationExhausted(
-        f"no admissible curve after {max_tries} draws for (c, kappa, seed) = "
+        f"no admissible curve after {_MAX_TRIES} draws for (c, kappa, seed) = "
         f"{(c, kappa, seed)}")
 
 
-def random_rational_curve(c, kappa, seed, tol=1e-9, max_tries=_MAX_TRIES):
+def random_rational_curve(c, kappa, seed, tol=1e-9):
     """Random rational curve of degree c with exactly kappa cusps (see census twin)."""
-    param, _ = generate_curve_with_census(c, kappa, seed, tol=tol, max_tries=max_tries)
+    param, _ = generate_curve_with_census(c, kappa, seed, tol=tol)
     return param

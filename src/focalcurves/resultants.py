@@ -32,9 +32,7 @@ def _entry_div(a, b):
 
 
 def _entry_is_exact(x):
-    if isinstance(x, UniPoly):
-        return x.is_exact
-    if isinstance(x, TriPoly):
+    if isinstance(x, (UniPoly, TriPoly)):
         return x.is_exact
     return is_exact(x)
 
@@ -179,7 +177,6 @@ def resultant_bipoly_in_s(p, q):
         raise ZeroPolynomial("resultant of the zero polynomial is undefined")
     res = resultant_lists(pc, qc, UniPoly.zero(), UniPoly([Fraction(1)]))
     return res if isinstance(res, UniPoly) else UniPoly([res])
-
 
 
 def discriminant_binary(form: UniPoly):

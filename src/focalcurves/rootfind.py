@@ -50,11 +50,7 @@ class RootSet:
                        self.reconstruction_error)
 
 
-def _polyval(coeffs_desc, x):
-    return np.polyval(coeffs_desc, x)
-
-
-def _aberth(coeffs_asc, tol, max_iter):
+def _aberth(coeffs_asc, tol):
     """All roots of a monic-normalizable complex polynomial, unclustered."""
     n = len(coeffs_asc) - 1
     lead = coeffs_asc[-1]
@@ -69,9 +65,9 @@ def _aberth(coeffs_asc, tol, max_iter):
 
     bound_coeffs = np.abs(desc)
     converged = False
-    for _ in range(max_iter):
-        p = _polyval(desc, x)
-        dp = _polyval(ddesc, x)
+    for _ in range(_MAX_ITER):
+        p = np.polyval(desc, x)
+        dp = np.polyval(ddesc, x)
         dp = np.where(dp == 0, _EPS, dp)
         w = p / dp
         diff = x[:, None] - x[None, :]
@@ -85,7 +81,7 @@ def _aberth(coeffs_asc, tol, max_iter):
         x = x - corr
         small_step = np.abs(corr) <= tol * (1.0 + np.abs(x))
         # backward-error acceptance handles multiple roots, where steps stall
-        backward = np.abs(p) <= 64.0 * _EPS * _polyval(bound_coeffs, np.abs(x))
+        backward = np.abs(p) <= 64.0 * _EPS * np.polyval(bound_coeffs, np.abs(x))
         if np.all(small_step | backward):
             converged = True
             break
@@ -95,12 +91,12 @@ def _aberth(coeffs_asc, tol, max_iter):
 def _newton_polish(desc, ddesc, roots, steps=3):
     x = roots.copy()
     for _ in range(steps):
-        p = _polyval(desc, x)
-        dp = _polyval(ddesc, x)
+        p = np.polyval(desc, x)
+        dp = np.polyval(ddesc, x)
         safe = np.abs(dp) > 0
         step = np.where(safe, p / np.where(safe, dp, 1.0), 0.0)
         x_new = x - step
-        better = np.abs(_polyval(desc, x_new)) <= np.abs(p)
+        better = np.abs(np.polyval(desc, x_new)) <= np.abs(p)
         x = np.where(better, x_new, x)
     return x
 
@@ -170,36 +166,32 @@ def _multiplicity_gate(desc):
     return gate
 
 
-def _cluster(roots, tol, scale, desc, override_radius=None):
+def _cluster(roots, tol, scale, desc):
     """Group near-coincident roots into multiplicity clusters.
 
     A fixed base radius merges the sqrt(eps)-wide clusters that double roots
     produce; wider radii of order eps^(1/m) then pick up higher
     multiplicities, gated on the derivative test above.
     """
-    clusters = [(complex(r), 1) for r in roots]
-    if override_radius is not None:
-        clusters = _merge_pass(clusters, override_radius)
-    else:
-        base = max(tol, 1e-6 * scale)
-        clusters = _merge_pass(clusters, base)
-        gate = _multiplicity_gate(desc)
-        for m in range(3, len(roots) + 1):
-            radius = 16.0 * scale * _EPS ** (1.0 / m)
-            if radius <= base:
-                continue
-            clusters = _merge_pass(clusters, radius, min_mult=m, gate=gate)
+    base = max(tol, 1e-6 * scale)
+    clusters = _merge_pass([(complex(r), 1) for r in roots], base)
+    gate = _multiplicity_gate(desc)
+    for m in range(3, len(roots) + 1):
+        radius = 16.0 * scale * _EPS ** (1.0 / m)
+        if radius <= base:
+            continue
+        clusters = _merge_pass(clusters, radius, min_mult=m, gate=gate)
     clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return clusters
 
 
-def find_roots(p: UniPoly, tol=1e-10, cluster_radius=None, max_iter=_MAX_ITER):
+def find_roots(p: UniPoly, tol=1e-10):
     """All complex roots of ``p`` with multiplicities.
 
     Leading (near-)zero coefficients are stripped first and surfaced as
-    ``degree_drop``.  Roots closer than the cluster radius are merged into a
-    multiplicity group; the default radius max(tol, 1e-6 * scale) merges the
-    clusters that double roots produce at machine precision.
+    ``degree_drop``.  Roots closer than max(tol, 1e-6 * scale) are merged into
+    a multiplicity group, which catches the clusters that double roots produce
+    at machine precision.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot solve the zero polynomial")
@@ -216,17 +208,16 @@ def find_roots(p: UniPoly, tol=1e-10, cluster_radius=None, max_iter=_MAX_ITER):
     if eff == 0:
         return RootSet((), 0.0, drop, 0.0)
 
-    raw, converged = _aberth(list(coeffs), tol, max_iter)
+    raw, converged = _aberth(list(coeffs), tol)
     desc = (coeffs / coeffs[-1])[::-1]
     ddesc = np.polyder(desc)
     raw = _newton_polish(desc, ddesc, raw)
 
     root_scale = max(1.0, float(np.abs(raw).max()))
-    clustered = _cluster(list(raw), tol, root_scale, desc,
-                         override_radius=cluster_radius)
+    clustered = _cluster(list(raw), tol, root_scale, desc)
 
     simple = [r for r, m in clustered if m == 1]
-    residual = float(max((abs(_polyval(desc, r)) for r in simple), default=0.0))
+    residual = float(max((abs(np.polyval(desc, r)) for r in simple), default=0.0))
 
     recon = np.poly(np.concatenate([[r] * m for r, m in clustered]))[::-1] * coeffs[-1]
     recon_err = float(np.abs(recon - coeffs).max() / max(scale, _EPS))
@@ -234,7 +225,7 @@ def find_roots(p: UniPoly, tol=1e-10, cluster_radius=None, max_iter=_MAX_ITER):
     result = RootSet(tuple(clustered), residual, drop, recon_err)
     if not converged:
         raise NonConvergence(
-            f"Aberth iteration did not converge in {max_iter} steps", partial=result)
+            f"Aberth iteration did not converge in {_MAX_ITER} steps", partial=result)
     return result
 
 

@@ -129,8 +129,6 @@ def is_exact(x) -> bool:
 
 
 def to_complex(x) -> complex:
-    if isinstance(x, QQi):
-        return complex(x)
     return complex(x)
 
 
@@ -140,14 +138,6 @@ def conjugate_scalar(x):
     if isinstance(x, QQi):
         return x.conjugate()
     return x.conjugate() if isinstance(x, complex) else complex(x).conjugate()
-
-
-def re_im(x):
-    """Real and imaginary parts as plain floats."""
-    if isinstance(x, QQi):
-        return float(x.re), float(x.im)
-    z = complex(x)
-    return z.real, z.imag
 
 
 def exact_re_im(x):
@@ -161,26 +151,30 @@ def exact_re_im(x):
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def rationalize(x, max_denominator=10**12) -> Fraction:
+#: continued-fraction snap applied to float input before exact arithmetic
+MAX_DENOMINATOR = 10**12
+
+
+def rationalize(x) -> Fraction:
     """Snap a float to a nearby rational via continued fractions."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(x).limit_denominator(max_denominator)
+    return Fraction(x).limit_denominator(MAX_DENOMINATOR)
 
 
-def rationalize_scalar(x, max_denominator=10**12):
+def rationalize_scalar(x):
     """Snap any scalar to the exact domain (Fraction or QQi)."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, QQi):
         return x
     z = complex(x)
-    re = rationalize(z.real, max_denominator)
+    re = rationalize(z.real)
     if z.imag == 0.0:
         return re
-    return QQi(re, rationalize(z.imag, max_denominator))
+    return QQi(re, rationalize(z.imag))
 
 
 def fraction_content(fractions) -> Fraction:

@@ -38,6 +38,9 @@ def _parse_part(s):
 def scalar_from_json(obj):
     if isinstance(obj, (int, float)):
         return obj
+    if not isinstance(obj, dict):
+        raise ValueError(f'coefficient {obj!r} must be a number or an object '
+                         '{"re": "p/q", "im": "p/q"}')
     re = _parse_part(obj.get("re", "0"))
     im = _parse_part(obj.get("im", "0"))
     if isinstance(re, Fraction) and isinstance(im, Fraction):

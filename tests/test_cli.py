@@ -151,3 +151,38 @@ def test_determinism(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_kernel_rejects_curve_through_origin(capsys):
+    # (t, t^2, 1) passes through (0:0:1): the chart w^c = 1 does not exist
+    param = ('{"var":"t","components":['
+             '{"coeffs":[{"re":"0","im":"0"},{"re":"1","im":"0"}]},'
+             '{"coeffs":[{"re":"0","im":"0"},{"re":"0","im":"0"},{"re":"1","im":"0"}]},'
+             '{"coeffs":[{"re":"1","im":"0"}]}]}')
+    code, out = run_cli(capsys, "kernel", "--param", param)
+    assert code == 2
+    assert out["error"]["type"] == "NormalizationFailure"
+
+
+def test_bare_string_coefficient_is_a_validation_error(capsys):
+    param = ('{"var":"t","components":[{"coeffs":["1/2","1"]},'
+             '{"coeffs":["0","0","1"]},{"coeffs":["1"]}]}')
+    code, out = run_cli(capsys, "foci", "--param", param)
+    assert code == 2
+    assert out["error"]["type"] == "ValueError"
+    assert '"re"' in out["error"]["message"]
+
+
+def test_solver_failure_is_an_error_not_a_violation(capsys, monkeypatch):
+    from focalcurves import ratgen
+    from focalcurves.errors import NonConvergence
+
+    def no_convergence(*args, **kwargs):
+        raise NonConvergence("forced")
+
+    monkeypatch.setattr(ratgen, "find_roots", no_convergence)
+    code, out = run_cli(capsys, "rank-experiment", "-c", "3", "--trials", "2",
+                        "--seed", "5")
+    assert code == 0
+    assert out["summary"]["errors"] == 2 and out["summary"]["violations"] == 0
+    assert all(t["status"] == "error" for t in out["trials"])

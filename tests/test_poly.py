@@ -115,12 +115,6 @@ class TestTriPoly:
         with pytest.raises(NotDivisible):
             (a * b + TriPoly.monomial((0, 0, 5))).exact_div(a)
 
-    def test_compose_param(self):
-        # pull the conic u*w - v^2 back along (t, t^2, 1): t*1 - t^4
-        g = TriPoly({(1, 0, 1): 1, (0, 2, 0): -1})
-        a, b, c = UniPoly([F(0), F(1)]), UniPoly([F(0), F(0), F(1)]), UniPoly([F(1)])
-        assert g.compose_param(a, b, c) == UniPoly([F(0), F(1), F(0), F(0), F(-1)])
-
     def test_is_real_tolerance(self):
         g = TriPoly({(1, 0, 0): 1.0 + 1e-12j})
         assert g.is_real()
