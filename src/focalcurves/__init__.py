@@ -10,7 +10,6 @@ from .dualize import (
 from .equiclassical import (
     ConditionMatrix,
     ConfocalFamily,
-    EquiclassicalScheme,
     FocalJacobianReport,
     condition_matrix,
     construct_min_class,
@@ -49,7 +48,6 @@ __all__ = [
     "ConditionMatrix",
     "ConfocalFamily",
     "ConfocalResult",
-    "EquiclassicalScheme",
     "FocalDiagnostics",
     "FocalDivisor",
     "FocalJacobianReport",

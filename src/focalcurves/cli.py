@@ -18,7 +18,6 @@ from . import plucker
 from .dualize import dual_param, implicitize, isotropic_focal_poly
 from .equiclassical import (
     ConfocalFamily,
-    EquiclassicalScheme,
     equiclassical_conditions,
     focal_jacobian,
     shifted_section_dim,
@@ -254,17 +253,16 @@ def cmd_implicitize(args):
 
 def cmd_kernel(args):
     param = param_from_json(_load_json(args.param))
-    census = locate_singularities(param, tol=args.tol)
-    scheme = EquiclassicalScheme.from_census(census).validate(param)
+    scheme = locate_singularities(param, tol=args.tol)
     cm = equiclassical_conditions(param, scheme, iso_tol=args.tol)
     basis = tangent_space_basis(cm)
     c = param.degree
-    d = 2 * (c - 1) - census.kappa
+    d = 2 * (c - 1) - scheme.kappa
     report = focal_jacobian(c, basis, scheme=scheme, param=param, expected_class=d)
     payload = {
         "degree": c,
-        "delta": census.delta,
-        "kappa": census.kappa,
+        "delta": scheme.delta,
+        "kappa": scheme.kappa,
         "class": d,
         "tangent_dim": report.tangent_dim,
         "rank": report.rank,

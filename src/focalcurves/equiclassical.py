@@ -8,7 +8,8 @@ cusp (vanishing at the point, and vanishing of the second derivative of the
 pullback, which forces contact order three there).  The differential of the
 focal map sends H to the coefficients of its isotropic restriction; its
 kernel consists of multiples of u^2 + v^2 whose quotients satisfy the same
-conditions in degree c - 2.
+conditions in degree c - 2.  The nodes and cusps come from the census record
+``ratgen.SingularityData``, which serves as the equiclassical scheme.
 """
 
 from __future__ import annotations
@@ -41,44 +42,6 @@ def numerical_rank(sv):
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > RANK_TOL * sv[0]))
-
-
-@dataclass(frozen=True)
-class EquiclassicalScheme:
-    """Nodes and cusps of a dual curve, with preimage parameters."""
-
-    nodes: tuple
-    cusps: tuple
-    degree: int
-
-    @classmethod
-    def from_census(cls, census: SingularityData):
-        return cls(census.nodes, census.cusps, census.degree)
-
-    def points(self):
-        return [n.point for n in self.nodes] + [c.point for c in self.cusps]
-
-    @property
-    def delta(self):
-        return len(self.nodes)
-
-    @property
-    def kappa(self):
-        return len(self.cusps)
-
-    def validate(self, param):
-        """Check the scheme against its parameterization, to 1e-7."""
-        for n in self.nodes:
-            s, t = n.params
-            if projective_distance(param.evaluate(s), param.evaluate(t)) > 1e-7:
-                raise CensusMismatch(f"node parameters {n.params} do not meet")
-        wedges = [w.as_float() for w in param.wedge()]
-        wscale = max(max((abs(c) for c in w.coeffs), default=0.0) for w in wedges)
-        for cu in self.cusps:
-            val = max(abs(to_complex(w.evaluate(cu.param))) for w in wedges)
-            if val > 1e-7 * max(wscale, 1.0):
-                raise CensusMismatch(f"no cusp at parameter {cu.param}")
-        return self
 
 
 def _monomial_values(point, monomials):
@@ -193,7 +156,7 @@ class ConditionMatrix:
         return vh[numerical_rank(sv):]
 
 
-def condition_matrix(param, scheme: EquiclassicalScheme, degree, chart,
+def condition_matrix(param, scheme: SingularityData, degree, chart,
                      iso_tol=1e-9) -> ConditionMatrix:
     """Linear node/cusp conditions on degree-``degree`` polynomials.
 
@@ -246,7 +209,7 @@ def condition_matrix(param, scheme: EquiclassicalScheme, degree, chart,
     return ConditionMatrix(mat, monos, degree, scheme.delta, scheme.kappa, crank)
 
 
-def equiclassical_conditions(d_curve, z: EquiclassicalScheme,
+def equiclassical_conditions(d_curve, z: SingularityData,
                              iso_tol=1e-9) -> ConditionMatrix:
     """Tangent-space conditions at a nodal-cuspidal dual curve (chart rows)."""
     expected = z.delta + 2 * z.kappa
@@ -402,7 +365,7 @@ def focal_jacobian(c, tangent_basis, *, scheme=None, param=None,
     )
 
 
-def shifted_section_dim(d_curve, z: EquiclassicalScheme) -> int:
+def shifted_section_dim(d_curve, z: SingularityData) -> int:
     """Dimension of degree-(c-2) forms through the equiclassical scheme.
 
     Must agree with the focal-jacobian kernel dimension; the agreement is the

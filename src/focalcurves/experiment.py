@@ -19,12 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .equiclassical import (
-    EquiclassicalScheme,
-    equiclassical_conditions,
-    focal_jacobian,
-    tangent_space_basis,
-)
+from .equiclassical import equiclassical_conditions, focal_jacobian, tangent_space_basis
 from .errors import (
     CensusMismatch,
     ClusterAmbiguity,
@@ -76,8 +71,7 @@ def run_rank_trial(c: int, kappa: int, seed: int, tol: float = 1e-9) -> TrialRec
     expected_rank = min(2 * c, c + d + 1)
     expected_kernel = max(0, d - c + 1)
     try:
-        param, census = generate_curve_with_census(c, kappa, seed, tol=tol)
-        scheme = EquiclassicalScheme.from_census(census).validate(param)
+        param, scheme = generate_curve_with_census(c, kappa, seed, tol=tol)
         cm = equiclassical_conditions(param, scheme, iso_tol=tol)
         if cm.rank() != cm.complex_rank:
             return TrialRecord(c, kappa, d, seed, "degenerate",

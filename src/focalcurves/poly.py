@@ -314,13 +314,6 @@ class TriPoly:
             return self
         return self * (1 / c)
 
-    def normalized_top_w(self):
-        """Scale so the w^degree coefficient is 1 (requires it nonzero)."""
-        top = self.terms.get((0, 0, self.degree))
-        if not top:
-            raise ZeroDivisionError("w^degree coefficient vanishes")
-        return self * (1 / top)
-
     # -- coordinate changes --------------------------------------------------
 
     def substitute_linear(self, rows):

@@ -3,9 +3,13 @@ numerical census of their nodes and cusps.
 
 Cusps are planted by construction: both affine derivative components carry
 the factor m(t) = prod (t - t_i), so the parameterization degenerates exactly
-at the chosen parameters.  Nodes are then located through the divided-
-difference system and resultant elimination; draws whose census disagrees
-with the genus-zero count delta + kappa = (c-1)(c-2)/2 are rejected.
+at the chosen parameters.  Nodes are then read off one univariate
+polynomial, the resultant in s of the divided-difference system: its roots
+away from the cusps come in pairs with a common image point, one pair per
+node.  Draws whose census disagrees with the genus-zero count
+delta + kappa = (c-1)(c-2)/2 are rejected.  The census record,
+``SingularityData``, is also the equiclassical scheme that the tangent-space
+conditions are built from.
 """
 
 from __future__ import annotations
@@ -16,7 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from .dualize import RationalCurveParam, dual_param
-from .errors import CensusMismatch, ClusterAmbiguity, GenerationExhausted, ZeroPolynomial
+from .errors import (
+    CensusMismatch,
+    ClusterAmbiguity,
+    DegenerateCurve,
+    GenerationExhausted,
+    ZeroPolynomial,
+)
 from .poly import UniPoly, divided_difference_pair, unipoly_gcd_many
 from .resultants import resultant_bipoly_in_s
 from .rootfind import find_roots
@@ -105,7 +115,7 @@ def _locate_cusps(param: RationalCurveParam, tol):
         raise CensusMismatch("tangent map degenerates identically (a line?)")
     g = unipoly_gcd_many(nonzero)
     if g.effective_degree() == 0:
-        return [], g
+        return []
     roots = find_roots(g.as_float(), tol=tol)
     if any(m > 1 for _, m in roots.roots):
         raise CensusMismatch("non-simple cusp factor in the tangent degeneration")
@@ -114,27 +124,34 @@ def _locate_cusps(param: RationalCurveParam, tol):
                             param.b.derivative().derivative(),
                             param.c.derivative().derivative())
     wfloats = [w.as_float() for w in (w1, w2, w3)]
+    wscale = max(max((abs(c) for c in w.coeffs), default=0.0) for w in wfloats)
     for r, _ in roots.roots:
         point = _normalize_point(param.evaluate(r))
         tangent = d2.evaluate(r)
         resid = max(abs(to_complex(w.evaluate(r))) for w in wfloats)
+        if resid > 1e-7 * max(wscale, 1.0):
+            raise CensusMismatch(f"no cusp at parameter {r}")
         cusps.append(Cusp(complex(r), point, tangent, resid))
-    return cusps, g
+    return cusps
 
 
 def locate_singularities(param: RationalCurveParam, tol=1e-9) -> SingularityData:
     """Locate all nodes and cusps of a rational parameterization.
 
-    Cusps are the common roots of the wedge components; nodes are the
-    off-diagonal common zeros of the divided-difference pair, found by
-    resultant elimination in one variable, partner matching in the other,
-    projective validation of the image points, and a Newton polish.
+    Cusps are the common roots of the wedge components.  Nodes are the
+    off-diagonal common zeros of the divided-difference pair (P, Q): the
+    eliminant Res_s(P, Q) has both parameters of every node as roots (and
+    each cusp parameter as a double root), so its roots away from the cusps
+    are paired by their image points, each pair is Newton-polished on
+    (P, Q) and must then map to one point to 1e-7.  Raises CensusMismatch
+    when a root is left unpaired, a pair does not meet, a cusp residual is
+    too large, or the count differs from (c-1)(c-2)/2.
     """
     param = param.rationalized().validate(tol)
     c = param.degree
     expected_total = (c - 1) * (c - 2) // 2
 
-    cusps, _ = _locate_cusps(param, tol)
+    cusps = _locate_cusps(param, tol)
     cusp_params = [cu.param for cu in cusps]
 
     P, Q = divided_difference_pair(param.a, param.b, param.c)
@@ -149,39 +166,28 @@ def locate_singularities(param: RationalCurveParam, tol=1e-9) -> SingularityData
             troots = []
         else:
             troots = [r for r, _ in find_roots(elim_f, tol=tol).roots]
-        Pf, Qf = P, Q
+        # both parameters of a node are roots of the eliminant; a cusp
+        # parameter is a double root and belongs to no node
+        left = [(t, param.evaluate(t)) for t in troots
+                if all(abs(t - cp) >= 1e-6 * (1 + abs(cp)) for cp in cusp_params)]
         Ps, Pt = P.diff_s(), P.diff_t()
         Qs, Qt = Q.diff_s(), Q.diff_t()
         pscale = max(abs(x) for row in P.as_float_array() for x in row)
         qscale = max(abs(x) for row in Q.as_float_array() for x in row)
-        seen = []
-        for t0 in troots:
-            if any(abs(t0 - cp) < 1e-6 * (1 + abs(cp)) for cp in cusp_params):
-                continue
-            spoly = P.specialize_t(t0).as_float()
-            match_poly, match_scale = Q, qscale
-            if spoly.effective_degree(rel_tol=1e-11) < 1:
-                spoly = Q.specialize_t(t0).as_float()
-                match_poly, match_scale = P, pscale
-                if spoly.effective_degree(rel_tol=1e-11) < 1:
-                    continue
-            for s0, _ in find_roots(spoly, tol=tol).roots:
-                if abs(s0 - t0) <= 1e-7 * (1 + abs(t0)):
-                    continue
-                if abs(complex(match_poly.evaluate(s0, t0))) > 1e-5 * max(match_scale, 1.0):
-                    continue
-                s_r, t_r = _newton_refine_pair(Pf, Qf, Ps, Pt, Qs, Qt, s0, t0)
-                pd = projective_distance(param.evaluate(s_r), param.evaluate(t_r))
-                if pd > 1e-7:
-                    continue
-                pair = _canonical_pair(complex(s_r), complex(t_r))
-                if any(abs(pair[0] - p[0]) + abs(pair[1] - p[1]) < 1e-6 for p in seen):
-                    continue
-                seen.append(pair)
-                point = _normalize_point(param.evaluate(pair[0]))
-                resid = max(abs(complex(P.evaluate(*pair))) / max(pscale, 1.0),
-                            abs(complex(Q.evaluate(*pair))) / max(qscale, 1.0))
-                nodes.append(Node(pair, point, resid))
+        while left:
+            t0, image = left.pop()
+            if not left:
+                raise CensusMismatch(f"eliminant root {t0:.6g} has no partner")
+            j = min(range(len(left)), key=lambda i: projective_distance(left[i][1], image))
+            s0, _ = left.pop(j)
+            s_r, t_r = _newton_refine_pair(P, Q, Ps, Pt, Qs, Qt, s0, t0)
+            if projective_distance(param.evaluate(s_r), param.evaluate(t_r)) > 1e-7:
+                raise CensusMismatch(f"eliminant roots {s0:.6g}, {t0:.6g} do not meet")
+            pair = _canonical_pair(complex(s_r), complex(t_r))
+            point = _normalize_point(param.evaluate(pair[0]))
+            resid = max(abs(complex(P.evaluate(*pair))) / max(pscale, 1.0),
+                        abs(complex(Q.evaluate(*pair))) / max(qscale, 1.0))
+            nodes.append(Node(pair, point, resid))
 
     found = len(nodes) + len(cusps)
     if found != expected_total:
@@ -289,7 +295,7 @@ def generate_curve_with_census(c, kappa, seed, tol=1e-9):
         param = RationalCurveParam(x, y, UniPoly([Fraction(1)]))
         try:
             param.validate(tol)
-        except Exception:
+        except DegenerateCurve:
             continue
         if param.passes_through_origin():
             continue  # the w^c coefficient would vanish

@@ -43,12 +43,6 @@ class RootSet:
             out.extend([r] * m)
         return out
 
-    def conjugate(self):
-        roots = sorted(((r.conjugate(), m) for r, m in self.roots),
-                       key=lambda rm: (rm[0].real, rm[0].imag))
-        return RootSet(tuple(roots), self.residual, self.degree_drop,
-                       self.reconstruction_error)
-
 
 def _aberth(coeffs_asc, tol):
     """All roots of a monic-normalizable complex polynomial, unclustered."""
@@ -146,7 +140,8 @@ def _multiplicity_gate(desc):
     A genuine m-fold root perturbed at machine precision scatters by
     eps^(1/m), leaving |p^(k)(z)| of order eps^((m-k)/m) relative to a
     coefficient bound; anything bigger means the cluster is a mirage of
-    separated simple roots.
+    separated simple roots.  The bound is taken at max(|z|, 1), so it does
+    not shrink below the coefficient scale for clusters near 0.
     """
     derivs = [np.asarray(desc)]
     mags = [np.abs(desc)]
@@ -155,7 +150,7 @@ def _multiplicity_gate(desc):
         while len(derivs) < m:
             derivs.append(np.polyder(derivs[-1]))
             mags.append(np.abs(derivs[-1]))
-        az = abs(z)
+        az = max(abs(z), 1.0)
         for k in range(m):
             bound = float(np.polyval(mags[k], az))
             tau = 256.0 * _EPS ** ((m - k) / m)

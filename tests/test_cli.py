@@ -1,7 +1,9 @@
 """CLI surface: subcommands, determinism, exit codes."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from focalcurves.cli import main
@@ -76,8 +78,6 @@ def test_construct_random_q_needs_seed(capsys):
 
 
 def test_siebeck_equilateral(capsys):
-    import math
-
     roots = [[math.cos(2 * math.pi * k / 3), math.sin(2 * math.pi * k / 3)]
              for k in range(3)]
     code, out = run_cli(capsys, "siebeck", "--roots", json.dumps(roots))
@@ -85,6 +85,22 @@ def test_siebeck_equilateral(capsys):
     assert out["foci"][0][2] == 2  # double focus at the centroid
     assert abs(out["foci"][0][0]) < 1e-9 and abs(out["foci"][0][1]) < 1e-9
     assert out["matching_distance"] < 1e-9
+
+
+@pytest.mark.parametrize("centre", [0, 0.3 + 0.1j])
+@pytest.mark.parametrize("n", range(4, 13))
+def test_siebeck_regular_polygon(capsys, n, centre):
+    # f = (z - centre)^n - 1 from float vertices: f' has one (n-1)-fold root
+    roots = [[math.cos(2 * math.pi * k / n) + centre.real,
+              math.sin(2 * math.pi * k / n) + centre.imag] for k in range(n)]
+    code, out = run_cli(capsys, "siebeck", "--roots", json.dumps(roots))
+    assert code == 0
+    tol = 100 * np.finfo(float).eps ** (1 / (n - 1))
+    ((x, y, m),) = out["foci"]
+    assert m == n - 1 and abs(complex(x, y) - centre) < tol
+    ((x, y, m),) = out["derivative_roots"]
+    assert m == n - 1 and abs(complex(x, y) - centre) < tol
+    assert out["matching_distance"] < tol
 
 
 def test_rank_experiment_exit_and_summary(capsys):

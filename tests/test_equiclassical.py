@@ -9,7 +9,6 @@ from focalcurves.dualize import RationalCurveParam
 from focalcurves.equiclassical import (
     ConditionMatrix,
     ConfocalFamily,
-    EquiclassicalScheme,
     condition_matrix,
     construct_min_class,
     equiclassical_conditions,
@@ -20,7 +19,11 @@ from focalcurves.equiclassical import (
 from focalcurves.errors import SchemeOnIsotropicConic, TooFewFoci
 from focalcurves.focal import confocal, divisor_matching_distance, focal_divisor
 from focalcurves.poly import TriPoly, UniPoly, monomials_of_degree
-from focalcurves.ratgen import generate_curve_with_census, locate_singularities
+from focalcurves.ratgen import (
+    SingularityData,
+    generate_curve_with_census,
+    locate_singularities,
+)
 
 
 def chart_matrix(degree):
@@ -49,14 +52,14 @@ class TestConditionMatrix:
 
     def test_nodal_cubic_one_row(self):
         p = translated_nodal_cubic()
-        scheme = EquiclassicalScheme.from_census(locate_singularities(p)).validate(p)
+        scheme = locate_singularities(p)
         cm = equiclassical_conditions(p, scheme)
         assert cm.rows.shape == (1, 9)
         assert len(tangent_space_basis(cm)) == 8  # c + d + 1 with d = 4
 
     def test_cuspidal_cubic_two_rows(self):
         p = translated_cuspidal_cubic()
-        scheme = EquiclassicalScheme.from_census(locate_singularities(p)).validate(p)
+        scheme = locate_singularities(p)
         cm = equiclassical_conditions(p, scheme)
         assert cm.rows.shape == (2, 9)
         assert len(tangent_space_basis(cm)) == 7  # 3 + 3 + 1
@@ -65,30 +68,27 @@ class TestConditionMatrix:
         # the standard nodal cubic has its node at (0:0:1), on u^2+v^2=0
         p = RationalCurveParam(UniPoly([F(-1), F(0), F(1)]),
                                UniPoly([F(0), F(-1), F(0), F(1)]), UniPoly([F(1)]))
-        scheme = EquiclassicalScheme.from_census(locate_singularities(p))
+        scheme = locate_singularities(p)
         with pytest.raises(SchemeOnIsotropicConic):
             equiclassical_conditions(p, scheme)
 
     def test_real_complex_rank_agreement(self):
         for seed in (3, 4, 5):
             param, census = generate_curve_with_census(4, 0, seed=seed)
-            scheme = EquiclassicalScheme.from_census(census)
-            cm = equiclassical_conditions(param, scheme)
+            cm = equiclassical_conditions(param, census)
             assert cm.rank() == cm.complex_rank
 
     def test_row_count_is_delta_plus_two_kappa(self):
         for (c, kappa, seed) in [(4, 1, 8), (4, 2, 9), (5, 0, 10)]:
             param, census = generate_curve_with_census(c, kappa, seed)
-            cm = equiclassical_conditions(param,
-                                          EquiclassicalScheme.from_census(census))
+            cm = equiclassical_conditions(param, census)
             assert cm.n_conditions == census.delta + 2 * kappa
 
     def test_dimension_consistency(self):
         # tangent dim (c+1)(c+2)/2 - 1 - (delta + 2 kappa) equals c + d + 1
         for (c, kappa, seed) in [(3, 1, 11), (4, 1, 12), (5, 0, 13)]:
             param, census = generate_curve_with_census(c, kappa, seed)
-            cm = equiclassical_conditions(param,
-                                          EquiclassicalScheme.from_census(census))
+            cm = equiclassical_conditions(param, census)
             m = len(tangent_space_basis(cm))
             d = 2 * (c - 1) - kappa
             assert m == (c + 1) * (c + 2) // 2 - 1 - (census.delta + 2 * kappa)
@@ -110,7 +110,7 @@ class TestFocalJacobian:
 
     def test_nodal_cubic_rank_six_kernel_two(self):
         p = translated_nodal_cubic()
-        scheme = EquiclassicalScheme.from_census(locate_singularities(p))
+        scheme = locate_singularities(p)
         basis = tangent_space_basis(equiclassical_conditions(p, scheme))
         rep = focal_jacobian(p.degree, basis, scheme=scheme, param=p, expected_class=4)
         assert (rep.rank, rep.kernel_dim) == (6, 2)
@@ -139,12 +139,11 @@ class TestFocalJacobian:
         census = locate_singularities(p)
         assert census.delta == 1 and census.kappa == 2
         assert sorted(c.param.imag for c in census.cusps) == pytest.approx([-1, 1])
-        scheme = EquiclassicalScheme.from_census(census).validate(p)
-        cm = equiclassical_conditions(p, scheme)
+        cm = equiclassical_conditions(p, census)
         assert cm.rows.shape == (5, 14)
         basis = tangent_space_basis(cm)
         assert len(basis) == 9  # c + d + 1 with c = d = 4
-        rep = focal_jacobian(p.degree, basis, scheme=scheme, param=p, expected_class=4)
+        rep = focal_jacobian(p.degree, basis, scheme=census, param=p, expected_class=4)
         assert (rep.rank, rep.kernel_dim) == (8, 1)
         assert max(rep.factor_residuals) < 1e-10
         assert rep.shifted_dim == 1
@@ -153,12 +152,12 @@ class TestFocalJacobian:
 class TestShiftedSectionDim:
     def test_one_node_pencil_of_lines(self):
         p = translated_nodal_cubic()
-        scheme = EquiclassicalScheme.from_census(locate_singularities(p))
+        scheme = locate_singularities(p)
         assert shifted_section_dim(p, scheme) == 2
 
     def test_one_cusp_unique_line(self):
         p = translated_cuspidal_cubic()
-        scheme = EquiclassicalScheme.from_census(locate_singularities(p))
+        scheme = locate_singularities(p)
         assert shifted_section_dim(p, scheme) == 1
         # the unique section is the cuspidal tangent line: it passes through
         # the cusp and annihilates the second pullback derivative
@@ -167,7 +166,7 @@ class TestShiftedSectionDim:
         assert null.shape[0] == 1
 
     def test_empty_scheme_constants(self):
-        scheme = EquiclassicalScheme((), (), 2)
+        scheme = SingularityData((), (), 2)
         p = RationalCurveParam(UniPoly([F(1), F(0), F(-1)]), UniPoly([F(0), F(2)]),
                                UniPoly([F(1), F(0), F(1)]))
         assert shifted_section_dim(p, scheme) == 1

@@ -1,12 +1,14 @@
 """Random curve generation and the singularity census."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from focalcurves import ratgen
 from focalcurves.dualize import RationalCurveParam, dual_param
-from focalcurves.errors import GenerationExhausted
+from focalcurves.errors import CensusMismatch, GenerationExhausted
 from focalcurves.plucker import class_of, genus_of, rational_node_count
 from focalcurves.poly import UniPoly
 from focalcurves.ratgen import generate_curve_with_census, locate_singularities
@@ -22,6 +24,36 @@ def test_nodal_cubic_node():
     s, t = node.params
     assert sorted([s.real, t.real]) == pytest.approx([-1.0, 1.0], abs=1e-10)
     assert np.allclose(node.point, [0, 0, 1], atol=1e-10)
+
+
+def test_acnode_counted_once():
+    # a draw of the generator at (3, 0), seed 20240809: its node is an acnode
+    # whose parameters are a conjugate pair
+    p = RationalCurveParam(
+        UniPoly([F(-7, 8), F(-313, 500), F(89, 500), F(139, 3000)]),
+        UniPoly([F(361, 500), F(397, 500), F(97, 400), F(277, 1000)]),
+        UniPoly([F(1)]))
+    sd = locate_singularities(p)
+    assert sd.delta == 1 and sd.kappa == 0
+    (node,) = sd.nodes
+    s, t = node.params
+    assert s == pytest.approx(2.7606 - 5.5283j, abs=1e-4)
+    assert t == pytest.approx(s.conjugate(), abs=1e-10)
+    assert np.max(np.abs(node.point.imag)) < 1e-10
+
+
+def test_cusp_residual_checked(monkeypatch):
+    find_roots = ratgen.find_roots
+
+    def shifted(poly, tol):
+        rs = find_roots(poly, tol=tol)
+        return replace(rs, roots=tuple((r + 1e-3, m) for r, m in rs.roots))
+
+    monkeypatch.setattr(ratgen, "find_roots", shifted)
+    p = RationalCurveParam(UniPoly([F(0), F(0), F(1)]),
+                           UniPoly([F(0), F(0), F(0), F(1)]), UniPoly([F(1)]))
+    with pytest.raises(CensusMismatch, match="no cusp"):
+        locate_singularities(p)
 
 
 def test_cuspidal_cubic_cusp():
