@@ -29,6 +29,7 @@ from .focal import divisor_matching_distance, focal_divisor, param_focal_divisor
 from .poly import TriPoly, UniPoly, monomials_of_degree
 from .ratgen import locate_singularities
 from .rootfind import find_roots
+from .scalars import rationalize
 from .serialize import (
     dumps,
     focal_to_json,
@@ -119,15 +120,10 @@ def cmd_foci(args):
 
 
 def _parse_foci(spec):
-    data = _load_json(spec)
-    foci = []
-    for entry in data:
-        x, y = entry
-        foci.append((Fraction(x).limit_denominator(10**12) if not isinstance(x, str)
-                     else Fraction(x),
-                     Fraction(y).limit_denominator(10**12) if not isinstance(y, str)
-                     else Fraction(y)))
-    return foci
+    def exact(v):
+        return Fraction(v) if isinstance(v, str) else rationalize(v)
+
+    return [(exact(x), exact(y)) for x, y in _load_json(spec)]
 
 
 def cmd_construct(args):

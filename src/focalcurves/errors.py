@@ -23,11 +23,7 @@ class NotDivisible(FocalCurvesError):
 
 
 class NonConvergence(FocalCurvesError):
-    """Root iteration failed to converge within the iteration cap."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """The root finder's eigenvalue solve did not converge."""
 
 
 class DegenerateFocalPolynomial(FocalCurvesError):

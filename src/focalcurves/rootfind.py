@@ -1,9 +1,9 @@
 """Complex root finding with multiplicity clustering.
 
-Simultaneous Aberth-Ehrlich iteration from perturbed-circle starting points,
-followed by a Newton polish and single-linkage clustering of near-coincident
-roots into multiplicity groups.  Chosen over companion-matrix eigenvalues to
-keep the focal pipeline free of an eigensolver dependency.
+Companion-matrix eigenvalues (``numpy.roots``, backward stable), followed by
+a Newton polish and single-linkage clustering of near-coincident roots into
+multiplicity groups; each m-fold cluster centre is then refined by Newton on
+the (m-1)-th derivative, where the root is simple.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import NonConvergence, ZeroPolynomial
 from .poly import UniPoly
 
-_MAX_ITER = 200
 _EPS = np.finfo(float).eps
 
 
@@ -44,44 +43,6 @@ class RootSet:
         return out
 
 
-def _aberth(coeffs_asc, tol):
-    """All roots of a monic-normalizable complex polynomial, unclustered."""
-    n = len(coeffs_asc) - 1
-    lead = coeffs_asc[-1]
-    monic = np.asarray(coeffs_asc, dtype=complex) / lead
-    desc = monic[::-1]
-    ddesc = np.polyder(desc)
-
-    radius = 1.0 + max(abs(monic[:-1]).max(initial=0.0), 0.0)
-    k = np.arange(n)
-    angles = 2.0 * np.pi * k / n + 0.3731
-    x = radius * (1.0 + 0.04 * k / max(n, 1)) * np.exp(1j * angles)
-
-    bound_coeffs = np.abs(desc)
-    converged = False
-    for _ in range(_MAX_ITER):
-        p = np.polyval(desc, x)
-        dp = np.polyval(ddesc, x)
-        dp = np.where(dp == 0, _EPS, dp)
-        w = p / dp
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, _EPS, denom)
-        corr = w / denom
-        x = x - corr
-        small_step = np.abs(corr) <= tol * (1.0 + np.abs(x))
-        # backward-error acceptance handles multiple roots, where steps stall
-        backward = np.abs(p) <= 64.0 * _EPS * np.polyval(bound_coeffs, np.abs(x))
-        if np.all(small_step | backward):
-            converged = True
-            break
-    return x, converged
-
-
 def _newton_polish(desc, ddesc, roots, steps=3):
     x = roots.copy()
     for _ in range(steps):
@@ -93,6 +54,28 @@ def _newton_polish(desc, ddesc, roots, steps=3):
         better = np.abs(np.polyval(desc, x_new)) <= np.abs(p)
         x = np.where(better, x_new, x)
     return x
+
+
+def _polish_centre(desc, z, m, steps=3):
+    """Newton on p^(m-1), which has a simple root at an m-fold root of p.
+
+    The eigenvalues of an m-fold root scatter by about eps^(1/m) and their
+    mean keeps part of that error; a step is taken only while it decreases
+    |p^(m-1)|.
+    """
+    if m == 1:
+        return z
+    d = np.polyder(desc, m - 1)
+    dd = np.polyder(d)
+    for _ in range(steps):
+        slope = np.polyval(dd, z)
+        if slope == 0:
+            break
+        z_new = z - np.polyval(d, z) / slope
+        if abs(np.polyval(d, z_new)) >= abs(np.polyval(d, z)):
+            break
+        z = complex(z_new)
+    return z
 
 
 def _merge_pass(clusters, radius, min_mult=0, gate=None):
@@ -176,6 +159,7 @@ def _cluster(roots, tol, scale, desc):
         if radius <= base:
             continue
         clusters = _merge_pass(clusters, radius, min_mult=m, gate=gate)
+    clusters = [(_polish_centre(desc, z, m), m) for z, m in clusters]
     clusters.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return clusters
 
@@ -186,7 +170,8 @@ def find_roots(p: UniPoly, tol=1e-10):
     Leading (near-)zero coefficients are stripped first and surfaced as
     ``degree_drop``.  Roots closer than max(tol, 1e-6 * scale) are merged into
     a multiplicity group, which catches the clusters that double roots produce
-    at machine precision.
+    at machine precision.  Raises ``NonConvergence`` when the companion-matrix
+    eigenvalue solve fails.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot solve the zero polynomial")
@@ -203,8 +188,11 @@ def find_roots(p: UniPoly, tol=1e-10):
     if eff == 0:
         return RootSet((), 0.0, drop, 0.0)
 
-    raw, converged = _aberth(list(coeffs), tol)
     desc = (coeffs / coeffs[-1])[::-1]
+    try:
+        raw = np.roots(desc)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"companion-matrix eigenvalues: {exc}") from exc
     ddesc = np.polyder(desc)
     raw = _newton_polish(desc, ddesc, raw)
 
@@ -217,11 +205,7 @@ def find_roots(p: UniPoly, tol=1e-10):
     recon = np.poly(np.concatenate([[r] * m for r, m in clustered]))[::-1] * coeffs[-1]
     recon_err = float(np.abs(recon - coeffs).max() / max(scale, _EPS))
 
-    result = RootSet(tuple(clustered), residual, drop, recon_err)
-    if not converged:
-        raise NonConvergence(
-            f"Aberth iteration did not converge in {_MAX_ITER} steps", partial=result)
-    return result
+    return RootSet(tuple(clustered), residual, drop, recon_err)
 
 
 @dataclass(frozen=True)

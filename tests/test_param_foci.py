@@ -88,6 +88,7 @@ def test_named_cases():
     fd, diag = param_focal_divisor(NAMED["circle"])
     (entry,) = fd.entries
     assert entry.multiplicity == 2 and entry.singular and abs(entry.root) < 1e-8
+    assert abs(entry.root) < 1e-14
     assert diag.passes_circular_points == {"plus": True, "minus": True}
 
     fd, diag = param_focal_divisor(NAMED["parabola"])

@@ -1,11 +1,11 @@
-"""Aberth root finding, multiplicity clustering, and focal pairing."""
+"""Companion-matrix root finding, multiplicity clustering, and focal pairing."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from focalcurves.errors import ZeroPolynomial
+from focalcurves.errors import NonConvergence, ZeroPolynomial
 from focalcurves.poly import TriPoly, UniPoly, monomials_of_degree
 from focalcurves.rootfind import find_roots, match_focal_pairs
 
@@ -29,6 +29,13 @@ def test_double_root_at_origin():
     rs = find_roots(UniPoly([F(0), F(0), F(-1)]))
     assert rs.roots == ((pytest.approx(0, abs=1e-8), 2),) or \
         (len(rs.roots) == 1 and rs.roots[0][1] == 2 and abs(rs.roots[0][0]) < 1e-8)
+
+
+@pytest.mark.parametrize("root", [1, 1j])
+def test_double_root_centre_is_polished(root):
+    rs = find_roots(UniPoly.from_roots([root, root]))
+    ((centre, mult),) = rs.roots
+    assert mult == 2 and abs(centre - root) < 1e-14
 
 
 def test_planted_degree_eight():
@@ -67,6 +74,15 @@ def test_degree_drop_counted():
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomial):
         find_roots(UniPoly([F(0), F(0)]))
+
+
+def test_eigenvalue_failure_is_nonconvergence(monkeypatch):
+    def no_convergence(coeffs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np, "roots", no_convergence)
+    with pytest.raises(NonConvergence):
+        find_roots(UniPoly([F(3), F(0), F(-1)]))
 
 
 def test_high_multiplicity_clusters():
