@@ -30,7 +30,7 @@ from .focal import (
     param_focal_divisor,
     real_foci,
 )
-from .poly import BiPoly, TriPoly, UniPoly, divided_difference_pair, monomials_of_degree
+from .poly import TriPoly, UniPoly, divided_difference_pair, monomials_of_degree
 from .ratgen import (
     SingularityData,
     generate_curve_with_census,
@@ -44,7 +44,6 @@ from .scalars import QQi
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly",
     "ConditionMatrix",
     "ConfocalFamily",
     "ConfocalResult",

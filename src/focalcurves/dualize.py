@@ -28,7 +28,6 @@ from .errors import (
 )
 from .poly import TriPoly, UniPoly, divided_difference_pair, unipoly_gcd, unipoly_gcd_many
 from .resultants import resultant_lists, resultant_tripoly_lists
-from .rootfind import find_roots
 from .scalars import QQi, exact_re_im, fraction_content, to_complex
 
 
@@ -83,22 +82,14 @@ class RationalCurveParam:
         return (unipoly_gcd(a, b).effective_degree() > 0
                 or max(a.effective_degree(), b.effective_degree()) < p.degree)
 
-    def validate(self, tol=1e-9):
-        """Reject parameterizations with a common factor or a point image."""
+    def validate(self):
+        """Reject exact parameterizations with a common factor or a point image."""
         comps = [p.trimmed() for p in self.components()]
         if all(p.is_zero() for p in comps):
             raise DegenerateCurve("all components vanish")
-        if self.is_exact:
-            g = unipoly_gcd_many([p for p in comps if not p.is_zero()])
-            if g.effective_degree() > 0:
-                raise DegenerateCurve(f"components share the factor {g!r}")
-        else:
-            ref = max(comps, key=lambda p: p.effective_degree(rel_tol=1e-13))
-            if ref.effective_degree(rel_tol=1e-13) > 0:
-                for r, _ in find_roots(ref, tol=tol).roots:
-                    vals = [abs(to_complex(p.evaluate(r))) for p in comps]
-                    if max(vals) <= tol:
-                        raise DegenerateCurve(f"components share the root {r:.6g}")
+        g = unipoly_gcd_many([p for p in comps if not p.is_zero()])
+        if g.effective_degree() > 0:
+            raise DegenerateCurve(f"components share the factor {g!r}")
         if all(w.is_zero() for w in self.wedge()):
             raise DegenerateCurve("parameterization image is a point or a line")
         return self
@@ -147,14 +138,14 @@ def covering_suspected(p: RationalCurveParam) -> bool:
     independent specializations rule out coincidences with nodes.
     """
     dP, dQ = divided_difference_pair(p.a, p.b, p.c)
-    if dP.is_zero() or dQ.is_zero():
+    if not any(map(any, dP)) or not any(map(any, dQ)):
         # one affine coordinate is constant along the curve: a line, which a
         # parameterization of degree > 1 necessarily covers multiple times
         return p.degree > 1
     decided = False
     for t0 in (Fraction(5, 7), Fraction(-3, 11)):
-        ps = dP.specialize_t(t0).trimmed()
-        qs = dQ.specialize_t(t0).trimmed()
+        ps = UniPoly([UniPoly(row).evaluate(t0) for row in dP]).trimmed()
+        qs = UniPoly([UniPoly(row).evaluate(t0) for row in dQ]).trimmed()
         if ps.is_zero() or qs.is_zero():
             continue
         if unipoly_gcd(ps, qs).effective_degree() == 0:

@@ -423,9 +423,3 @@ class ConfocalFamily:
         family = cls(base, basis, c * (c - 1) // 2)
         assert len(basis) == family.dimension
         return family
-
-    def member(self, coefficients):
-        g = self.base
-        for coeff, b in zip(coefficients, self.basis):
-            g = g + b * coeff
-        return g

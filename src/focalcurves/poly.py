@@ -1,13 +1,11 @@
 """Exact and floating polynomial arithmetic.
 
-Three shapes of polynomial live here:
+Two shapes of polynomial live here:
 
 * :class:`TriPoly` — homogeneous trivariate polynomials (dense exponent map),
   the carrier for dual-curve equations and deformation directions.
 * :class:`UniPoly` — univariate polynomials with an explicit formal degree,
   so a vanishing top coefficient is visible to degree-drop diagnostics.
-* :class:`BiPoly` — dense bivariate grids, used by the divided-difference
-  system that locates nodes of a parameterized curve.
 
 Coefficients are Fraction / QQi (exact) or complex (floating); a polynomial
 never mixes the two.  All values are immutable after construction.
@@ -561,124 +559,33 @@ def unipoly_gcd_many(polys):
     return acc
 
 
-class BiPoly:
-    """Dense bivariate polynomial in (s, t); grid[i][j] multiplies s^i t^j."""
+def _bezout_grid(a, c):
+    """Coefficient grid of (A(s)C(t) - A(t)C(s))/(s - t): the Bezout matrix of A, C.
 
-    __slots__ = ("grid",)
-
-    def __init__(self, grid):
-        rows = [list(row) for row in grid]
-        width = max((len(r) for r in rows), default=0)
-        flat = _unify([c for r in rows for c in r]) if rows else []
-        zero = Fraction(0) if all(is_exact(c) for c in flat) else 0j
-        norm = []
-        pos = 0
-        for r in rows:
-            row = flat[pos:pos + len(r)] + [zero] * (width - len(r))
-            pos += len(r)
-            norm.append(row)
-        # trim trailing zero rows and columns
-        while norm and all(not c for c in norm[-1]):
-            norm.pop()
-        while norm and norm[0] and all(not r[-1] for r in norm):
-            for r in norm:
-                r.pop()
-        if not norm or not norm[0]:
-            norm = [[Fraction(0)]]
-        self.grid = tuple(tuple(r) for r in norm)
-
-    @classmethod
-    def outer(cls, a, c):
-        """A(s) * C(t) from two univariate coefficient lists."""
-        return cls([[ai * cj for cj in c.coeffs] for ai in a.coeffs])
-
-    @property
-    def s_degree(self):
-        return len(self.grid) - 1
-
-    @property
-    def t_degree(self):
-        return len(self.grid[0]) - 1
-
-    def is_zero(self):
-        return all(not c for row in self.grid for c in row)
-
-    def __sub__(self, other):
-        ns = max(self.s_degree, other.s_degree)
-        nt = max(self.t_degree, other.t_degree)
-        out = [[Fraction(0)] * (nt + 1) for _ in range(ns + 1)]
-        for i, row in enumerate(self.grid):
-            for j, c in enumerate(row):
-                out[i][j] = out[i][j] + c
-        for i, row in enumerate(other.grid):
-            for j, c in enumerate(row):
-                out[i][j] = out[i][j] - c
-        return BiPoly(out)
-
-    def evaluate(self, s, t):
-        total = 0
-        for i, row in enumerate(self.grid):
-            rowval = 0
-            for c in reversed(row):
-                rowval = rowval * t + c
-            total = total + rowval * s**i
-        return total
-
-    def coeffs_in_s(self):
-        """Coefficient list (ascending in s) as UniPolys in t."""
-        return [UniPoly(row) for row in self.grid]
-
-    def specialize_t(self, t0):
-        """Fix t = t0; returns a UniPoly in s."""
-        return UniPoly([UniPoly(row).evaluate(t0) for row in self.grid])
-
-    def diff_s(self):
-        if self.s_degree == 0:
-            return BiPoly([[Fraction(0)]])
-        return BiPoly([[c * i for c in row] for i, row in enumerate(self.grid)][1:])
-
-    def diff_t(self):
-        out = []
-        for row in self.grid:
-            out.append([row[j] * j for j in range(1, len(row))] or [Fraction(0)])
-        return BiPoly(out)
-
-    def divide_s_minus_t(self):
-        """Exact quotient by (s - t); raises NotDivisible on a nonzero remainder."""
-        rows = [UniPoly(row) for row in self.grid]
-        d = len(rows) - 1
-        if d < 1:
-            if rows[0].is_zero():
-                return BiPoly([[Fraction(0)]])
-            raise NotDivisible("constant in s cannot be divisible by (s - t)")
-        t = UniPoly([Fraction(0), Fraction(1)])
-        quot = [None] * d
-        quot[d - 1] = rows[d]
-        for i in range(d - 1, 0, -1):
-            quot[i - 1] = rows[i] + t * quot[i]
-        rem = rows[0] + t * quot[0]
-        if not rem.is_zero():
-            raise NotDivisible("division by (s - t) left a remainder")
-        return BiPoly([q.coeffs for q in quot])
-
-    def as_float_array(self):
-        import numpy as np
-
-        return np.array([[to_complex(c) for c in row] for row in self.grid],
-                        dtype=complex)
-
-    def __repr__(self):
-        return f"BiPoly(s_degree={self.s_degree}, t_degree={self.t_degree})"
+    grid[i][j] multiplies s^i t^j.  Since (s^i t^j - s^j t^i)/(s - t) is the
+    sum of s^p t^(i+j-1-p) over j <= p < i, each pair i > j of coefficient
+    indices adds a_i c_j - a_j c_i along one antidiagonal.
+    """
+    n = max(len(a), len(c))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    c = list(c) + [Fraction(0)] * (n - len(c))
+    size = max(n - 1, 1)
+    grid = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(n):
+        for j in range(i):
+            d = a[i] * c[j] - a[j] * c[i]
+            if d:
+                for p in range(j, i):
+                    grid[p][i + j - 1 - p] += d
+    return tuple(tuple(row) for row in grid)
 
 
 def divided_difference_pair(a, b, c):
-    """Node system of a parameterization (a, b, c).
+    """Node system of an exact parameterization (a, b, c).
 
-    Returns the pair ((A(s)C(t) - A(t)C(s))/(s-t), (B(s)C(t) - B(t)C(s))/(s-t));
-    both divisions are exact.  Off-diagonal common zeros, validated projectively,
-    are the node parameter pairs; the diagonal carries the cusp condition.
+    Returns the coefficient grids of (A(s)C(t) - A(t)C(s))/(s-t) and
+    (B(s)C(t) - B(t)C(s))/(s-t), where grid[i][j] multiplies s^i t^j.
+    Off-diagonal common zeros, validated projectively, are the node parameter
+    pairs; the diagonal carries the cusp condition.
     """
-    nac = BiPoly.outer(a, c) - BiPoly.outer(c, a)
-    nbc = BiPoly.outer(b, c) - BiPoly.outer(c, b)
-    return nac.divide_s_minus_t(), nbc.divide_s_minus_t()
-
+    return _bezout_grid(a.coeffs, c.coeffs), _bezout_grid(b.coeffs, c.coeffs)

@@ -166,9 +166,13 @@ def resultant_tripoly_lists(p_coeffs, q_coeffs):
 
 
 def resultant_bipoly_in_s(p, q):
-    """Eliminate s from two BiPolys; returns the eliminant as a UniPoly in t."""
-    pc = [u.trimmed() for u in p.coeffs_in_s()]
-    qc = [u.trimmed() for u in q.coeffs_in_s()]
+    """Eliminate s from two exact coefficient grids; returns a UniPoly in t.
+
+    grid[i][j] multiplies s^i t^j, as ``poly.divided_difference_pair``
+    returns them.
+    """
+    pc = [UniPoly(row).trimmed() for row in p]
+    qc = [UniPoly(row).trimmed() for row in q]
     while len(pc) > 1 and pc[-1].is_zero():
         pc.pop()
     while len(qc) > 1 and qc[-1].is_zero():

@@ -222,7 +222,12 @@ class TestConfocalFamily:
         rng = np.random.default_rng(42)
         foci = [(0.5, 0.0), (-0.5, 0.2), (0.1, -0.8)]
         fam = ConfocalFamily.with_prescribed_foci(foci)
-        members = [fam.member(rng.uniform(-1, 1, fam.dimension)) for _ in range(5)]
+        members = []
+        for _ in range(5):
+            g = fam.base
+            for coeff, b in zip(rng.uniform(-1, 1, fam.dimension), fam.basis):
+                g = g + b * coeff
+            members.append(g)
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 res = confocal(members[i], members[j])

@@ -4,10 +4,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 
 from focalcurves.errors import NotDivisible
 from focalcurves.poly import (
-    BiPoly,
     TriPoly,
     UniPoly,
     divided_difference_pair,
@@ -146,22 +146,28 @@ class TestUniPoly:
         assert np.allclose(p.complex_coeffs(), [-2, 1, 1])
 
 
+def grid_value(grid, s, t):
+    """Value of sum grid[i][j] s^i t^j."""
+    return sum(c * s**i * t**j for i, row in enumerate(grid) for j, c in enumerate(row))
+
+
 class TestDividedDifferences:
     def test_parabola(self):
         a, b, c = UniPoly([F(0), F(1)]), UniPoly([F(0), F(0), F(1)]), UniPoly([F(1)])
         p, q = divided_difference_pair(a, b, c)
-        assert p.grid == ((F(1),),)                       # constant 1
-        assert q.evaluate(F(2), F(3)) == 5                # s + t
+        assert p == ((F(1),),)                            # constant 1
+        assert q == ((F(0), F(1)), (F(1), F(0)))          # s + t
+        assert grid_value(q, F(2), F(3)) == 5
 
     def test_nodal_cubic_node_parameters(self):
         a = UniPoly([F(-1), F(0), F(1)])
         b = UniPoly([F(0), F(-1), F(0), F(1)])
         c = UniPoly([F(1)])
         p, q = divided_difference_pair(a, b, c)
-        assert p.evaluate(F(1), F(-1)) == 0
-        assert q.evaluate(F(1), F(-1)) == 0
+        assert grid_value(p, F(1), F(-1)) == 0
+        assert grid_value(q, F(1), F(-1)) == 0
         # the diagonal carries the cusp condition; no cusp here
-        assert p.evaluate(F(1), F(1)) != 0 or q.evaluate(F(1), F(1)) != 0
+        assert grid_value(p, F(1), F(1)) != 0 or grid_value(q, F(1), F(1)) != 0
 
     def test_circle_has_no_real_common_zeros(self):
         a = UniPoly([F(1), F(0), F(-1)])
@@ -169,17 +175,42 @@ class TestDividedDifferences:
         c = UniPoly([F(1), F(0), F(1)])
         p, q = divided_difference_pair(a, b, c)
         # p = -2(s+t), q = 2(1-st): only common zeros are s=-t, st=1 (imaginary)
+        pf, qf = np.array(p, dtype=float), np.array(q, dtype=float)
         grid = np.linspace(-3, 3, 41)
         for s in grid:
             for t in grid:
                 if abs(s - t) < 1e-9:
                     continue
-                vals = abs(complex(p.evaluate(s, t))) + abs(complex(q.evaluate(s, t)))
+                vals = abs(polyval2d(s, t, pf)) + abs(polyval2d(s, t, qf))
                 assert vals > 1e-3
 
-    def test_division_exactness_guard(self):
-        with pytest.raises(NotDivisible):
-            BiPoly([[F(1)]]).divide_s_minus_t()
+    def test_matches_sympy_quotient(self):
+        # seeded components with unequal degrees, zero and constant ones
+        sympy = pytest.importorskip("sympy")
+        s, t = sympy.symbols("s t")
+
+        def at(u, x):
+            return sum(sympy.Rational(k.numerator, k.denominator) * x**i
+                       for i, k in enumerate(u.coeffs))
+
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            comps = []
+            for _ in range(3):
+                degree = int(rng.integers(0, 6))
+                cs = [F(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+                      for _ in range(degree + 1)]
+                if rng.random() < 0.15:
+                    cs = [F(0)] * len(cs)
+                comps.append(UniPoly(cs))
+            if trial % 10 == 0:
+                comps[2] = UniPoly([F(1)])
+            a, b, c = comps
+            for comp, grid in zip((a, b), divided_difference_pair(a, b, c)):
+                numerator = at(comp, s) * at(c, t) - at(comp, t) * at(c, s)
+                expected = sympy.Poly(sympy.cancel(numerator / (s - t)), s, t)
+                got = sympy.Poly(grid_value(grid, s, t), s, t)
+                assert got == expected
 
 
 def test_monomial_order_matches_alpha_convention():

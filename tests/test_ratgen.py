@@ -42,6 +42,15 @@ def test_acnode_counted_once():
     assert np.max(np.abs(node.point.imag)) < 1e-10
 
 
+def test_conjugate_pair_ordered_by_imaginary_part():
+    # conjugate parameters whose real parts differ in the last bit only
+    x, y = 2.7606, 5.5283
+    s, t = complex(x, y), complex(x * (1 + 2**-52), -y)
+    assert s.real < t.real
+    assert ratgen._canonical_pair(s, t) == (t, s)
+    assert ratgen._canonical_pair(t, s) == (t, s)
+
+
 def test_cusp_residual_checked(monkeypatch):
     find_roots = ratgen.find_roots
 
