@@ -20,10 +20,9 @@ from .equiclassical import (
     ConfocalFamily,
     equiclassical_conditions,
     focal_jacobian,
-    shifted_section_dim,
     tangent_space_basis,
 )
-from .errors import FocalCurvesError, ToleranceAmbiguity
+from .errors import FocalCurvesError, NormalizationFailure, ToleranceAmbiguity
 from .experiment import run_rank_experiment
 from .focal import divisor_matching_distance, focal_divisor, param_focal_divisor
 from .poly import TriPoly, UniPoly, monomials_of_degree
@@ -249,12 +248,15 @@ def cmd_implicitize(args):
 
 def cmd_kernel(args):
     param = param_from_json(_load_json(args.param))
+    if param.passes_through_origin():
+        raise NormalizationFailure(
+            "the curve passes through (0:0:1), so its w^degree coefficient vanishes")
     scheme = locate_singularities(param, tol=args.tol)
-    cm = equiclassical_conditions(param, scheme, iso_tol=args.tol)
-    basis = tangent_space_basis(cm)
+    basis = tangent_space_basis(equiclassical_conditions(scheme, iso_tol=args.tol))
     c = param.degree
     d = 2 * (c - 1) - scheme.kappa
-    report = focal_jacobian(c, basis, scheme=scheme, param=param, expected_class=d)
+    report = focal_jacobian(c, basis, scheme=scheme)
+    expected_rank, expected_kernel = plucker.focal_rank_law(c, d)
     payload = {
         "degree": c,
         "delta": scheme.delta,
@@ -263,9 +265,9 @@ def cmd_kernel(args):
         "tangent_dim": report.tangent_dim,
         "rank": report.rank,
         "kernel_dim": report.kernel_dim,
-        "expected_rank": report.expected_rank,
-        "expected_kernel": report.expected_kernel,
-        "shifted_section_dim": shifted_section_dim(param, scheme),
+        "expected_rank": expected_rank,
+        "expected_kernel": expected_kernel,
+        "shifted_section_dim": report.shifted_dim,
         "factor_residuals": list(report.factor_residuals),
         "shifted_residuals": list(report.shifted_residuals),
         "kernel_basis": [tripoly_to_json(k) for k in report.kernel_basis],

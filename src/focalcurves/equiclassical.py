@@ -4,8 +4,12 @@ minimal-class confocal constructions.
 A first-order deformation of a dual curve of degree c, in the chart where the
 w^c coefficient is 1, is a degree-c polynomial H with zero w^c coefficient
 satisfying one linear condition per node (vanishing at the point) and two per
-cusp (vanishing at the point, and vanishing of the second derivative of the
-pullback, which forces contact order three there).  The differential of the
+cusp (vanishing at the point, and vanishing of its derivative along the cusp
+tangent tau = phi''(t0), which forces contact order three there).  At a cusp
+phi'(t0) = lambda * phi(t0), so by Euler's relation the second derivative of
+the pullback H(phi(t)) is grad H(p) . tau + lambda^2 c (c-1) H(p): with the
+point condition, the gradient row spans the same conditions, and the rows
+need the scheme alone, not the parameterization.  The differential of the
 focal map sends H to the coefficients of its isotropic restriction; its
 kernel consists of multiples of u^2 + v^2 whose quotients satisfy the same
 conditions in degree c - 2.  The nodes and cusps come from the census record
@@ -20,7 +24,6 @@ import numpy as np
 
 from .errors import (
     CensusMismatch,
-    NormalizationFailure,
     SchemeOnIsotropicConic,
     ToleranceAmbiguity,
     TooFewFoci,
@@ -49,54 +52,16 @@ def _monomial_values(point, monomials):
     return np.array([p[0] ** i * p[1] ** j * p[2] ** k for (i, j, k) in monomials])
 
 
-class _Jet2:
-    """Second-order jet (value, first, second derivative) at a fixed parameter."""
-
-    __slots__ = ("v", "d1", "d2")
-
-    def __init__(self, v, d1, d2):
-        self.v, self.d1, self.d2 = v, d1, d2
-
-    def __mul__(self, other):
-        return _Jet2(self.v * other.v,
-                     self.v * other.d1 + self.d1 * other.v,
-                     self.v * other.d2 + 2 * self.d1 * other.d1 + self.d2 * other.v)
-
-    def __pow__(self, n):
-        acc = _Jet2(1.0 + 0j, 0j, 0j)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-
-def _component_jet(poly, t0):
-    p = poly.as_float()
-    d1 = p.derivative()
-    d2 = d1.derivative()
-    return _Jet2(complex(p.evaluate(t0)), complex(d1.evaluate(t0)),
-                 complex(d2.evaluate(t0)))
-
-
-def _cusp_condition_values(param, t0, monomials):
-    """Per-monomial (value, second derivative) of the pullback at the cusp."""
-    ja = _component_jet(param.a, t0)
-    jb = _component_jet(param.b, t0)
-    jc = _component_jet(param.c, t0)
-    vals = []
-    svals = []
-    # scale the jet to a unit-size point so rows stay comparable across cusps
-    norm = max(abs(ja.v), abs(jb.v), abs(jc.v))
-    scale = _Jet2(1.0 / norm, 0j, 0j)
-    ja, jb, jc = ja * scale, jb * scale, jc * scale
-    for (i, j, k) in monomials:
-        jet = ja ** i * jb ** j * jc ** k
-        vals.append(jet.v)
-        svals.append(jet.d2)
-    return np.array(vals), np.array(svals)
+def _gradient_along(point, direction, monomials):
+    """Derivative of each monomial at ``point`` in the direction ``direction``."""
+    p = np.asarray(point, dtype=complex)
+    exps = np.array(monomials, dtype=int).reshape(-1, 3)
+    out = np.zeros(len(exps), dtype=complex)
+    for axis in range(3):
+        lowered = exps.copy()
+        lowered[:, axis] = np.maximum(exps[:, axis] - 1, 0)
+        out += exps[:, axis] * np.prod(p ** lowered, axis=1) * direction[axis]
+    return out
 
 
 def _conjugate_split(items, key, distance, real_tol, what):
@@ -130,9 +95,6 @@ class ConditionMatrix:
 
     rows: np.ndarray
     monomials: tuple
-    degree: int
-    delta: int
-    kappa: int
     complex_rank: int
 
     @property
@@ -156,12 +118,12 @@ class ConditionMatrix:
         return vh[numerical_rank(sv):]
 
 
-def condition_matrix(param, scheme: SingularityData, degree, chart,
+def condition_matrix(scheme: SingularityData, degree, chart,
                      iso_tol=1e-9) -> ConditionMatrix:
     """Linear node/cusp conditions on degree-``degree`` polynomials.
 
     One real row per real node, two per conjugate node pair; two per real
-    cusp (point value and second pullback derivative), four per conjugate
+    cusp (point value and gradient along the cusp tangent), four per conjugate
     cusp pair.  With ``chart`` the w^degree coefficient slot is removed,
     matching the affine chart where it is pinned to 1.
     """
@@ -189,13 +151,15 @@ def condition_matrix(param, scheme: SingularityData, degree, chart,
     real_cusps, pair_cusps = _conjugate_split(
         scheme.cusps, lambda cu: cu.param, lambda s, t: abs(s - t), 1e-7, "cusp")
     for cu in real_cusps:
-        vals, svals = _cusp_condition_values(param, cu.param, monos)
+        vals = _monomial_values(cu.point, monos)
+        svals = _gradient_along(cu.point, cu.tangent, monos)
         rows.append(vals.real)
         rows.append(svals.real)
         complex_rows.append(vals)
         complex_rows.append(svals)
     for cu in pair_cusps:
-        vals, svals = _cusp_condition_values(param, cu.param, monos)
+        vals = _monomial_values(cu.point, monos)
+        svals = _gradient_along(cu.point, cu.tangent, monos)
         rows.extend([vals.real, vals.imag, svals.real, svals.imag])
         complex_rows.extend([vals, svals, np.conj(vals), np.conj(svals)])
 
@@ -206,14 +170,13 @@ def condition_matrix(param, scheme: SingularityData, degree, chart,
         mat[i] = r / norm if norm > 0 else r
     crank = (numerical_rank(np.linalg.svd(np.array(complex_rows), compute_uv=False))
              if complex_rows else 0)
-    return ConditionMatrix(mat, monos, degree, scheme.delta, scheme.kappa, crank)
+    return ConditionMatrix(mat, monos, crank)
 
 
-def equiclassical_conditions(d_curve, z: SingularityData,
-                             iso_tol=1e-9) -> ConditionMatrix:
+def equiclassical_conditions(z: SingularityData, iso_tol=1e-9) -> ConditionMatrix:
     """Tangent-space conditions at a nodal-cuspidal dual curve (chart rows)."""
     expected = z.delta + 2 * z.kappa
-    cm = condition_matrix(d_curve, z, z.degree, chart=True, iso_tol=iso_tol)
+    cm = condition_matrix(z, z.degree, chart=True, iso_tol=iso_tol)
     if cm.n_conditions != expected:
         raise CensusMismatch(
             f"built {cm.n_conditions} condition rows, expected {expected}")
@@ -252,44 +215,28 @@ def restriction_matrix(degree, basis):
 class FocalJacobianReport:
     """Rank/kernel analysis of the focal-map differential at a dual curve."""
 
-    curve_degree: int
     tangent_dim: int
-    jacobian: np.ndarray
     singular_values: np.ndarray
     rank: int
     kernel_dim: int
     kernel_basis: tuple
     factor_residuals: tuple
-    quotients: tuple
     shifted_residuals: tuple
     shifted_dim: int | None
     sv_gap: float
-    expected_rank: int | None = None
-    expected_kernel: int | None = None
-
-    def matches_expectation(self):
-        if self.expected_rank is None:
-            return None
-        return (self.rank == self.expected_rank
-                and self.kernel_dim == self.expected_kernel)
 
 
-def focal_jacobian(c, tangent_basis, *, scheme=None, param=None,
-                   expected_class=None) -> FocalJacobianReport:
+def focal_jacobian(c, tangent_basis, *, scheme=None) -> FocalJacobianReport:
     """Differential of the focal map at a dual curve of degree ``c``, on a
     tangent basis of the chart where its w^c coefficient is 1, with kernel
     analysis.
 
-    That chart needs the curve to miss (0 : 0 : 1), which is checked when the
-    parameterization is supplied.  Each kernel element is divided by u^2 + v^2
-    and the quotient is checked against the degree-(c-2) condition system when
-    the scheme is supplied.  Raises ToleranceAmbiguity when a singular value
-    falls within a factor 10 of the rank threshold.
+    That chart needs the curve to miss (0 : 0 : 1), which the caller checks.
+    Each kernel element is divided by u^2 + v^2 and the quotient is checked
+    against the degree-(c-2) condition system when the scheme is supplied.
+    Raises ToleranceAmbiguity when a singular value falls within a factor 10
+    of the rank threshold.
     """
-    if param is not None and param.passes_through_origin():
-        raise NormalizationFailure(
-            "the curve passes through (0:0:1), so its w^degree coefficient vanishes")
-
     jac = restriction_matrix(c, tangent_basis)
     m = jac.shape[1]
     if m == 0:
@@ -328,8 +275,8 @@ def focal_jacobian(c, tangent_basis, *, scheme=None, param=None,
 
     shifted_residuals = []
     shifted_dim = None
-    if scheme is not None and param is not None and c >= 2:
-        cm_shift = condition_matrix(param, scheme, c - 2, chart=False)
+    if scheme is not None:
+        cm_shift = condition_matrix(scheme, c - 2, chart=False)
         shifted_dim = cm_shift.n_columns - cm_shift.rank()
         for q in quotients:
             vec = np.array([to_complex(x) for x in
@@ -342,38 +289,26 @@ def focal_jacobian(c, tangent_basis, *, scheme=None, param=None,
                 np.abs(cm_shift.rows @ vec.imag / norm)
             shifted_residuals.append(float(np.max(resid)))
 
-    expected_rank = expected_kernel = None
-    if expected_class is not None:
-        expected_rank = min(2 * c, c + expected_class + 1)
-        expected_kernel = max(0, expected_class - c + 1)
-
     return FocalJacobianReport(
-        curve_degree=c,
         tangent_dim=m,
-        jacobian=jac,
         singular_values=sv,
         rank=rank,
         kernel_dim=kernel_dim,
         kernel_basis=tuple(kernel_basis),
         factor_residuals=tuple(factor_residuals),
-        quotients=tuple(quotients),
         shifted_residuals=tuple(shifted_residuals),
         shifted_dim=shifted_dim,
         sv_gap=sv_gap,
-        expected_rank=expected_rank,
-        expected_kernel=expected_kernel,
     )
 
 
-def shifted_section_dim(d_curve, z: SingularityData) -> int:
+def shifted_section_dim(z: SingularityData) -> int:
     """Dimension of degree-(c-2) forms through the equiclassical scheme.
 
     Must agree with the focal-jacobian kernel dimension; the agreement is the
     numerical content of the kernel identification.
     """
-    if z.degree < 2:
-        return 0
-    cm = condition_matrix(d_curve, z, z.degree - 2, chart=False)
+    cm = condition_matrix(z, z.degree - 2, chart=False)
     return cm.n_columns - cm.rank()
 
 

@@ -29,6 +29,7 @@ from .errors import (
     SchemeOnIsotropicConic,
     ToleranceAmbiguity,
 )
+from .plucker import focal_rank_law
 from .ratgen import generate_curve_with_census
 
 _DEGENERATE = (CensusMismatch, ClusterAmbiguity, GenerationExhausted,
@@ -68,11 +69,10 @@ def trial_seed(base_seed: int, index: int) -> int:
 
 def run_rank_trial(c: int, kappa: int, seed: int, tol: float = 1e-9) -> TrialRecord:
     d = 2 * (c - 1) - kappa
-    expected_rank = min(2 * c, c + d + 1)
-    expected_kernel = max(0, d - c + 1)
+    expected_rank, expected_kernel = focal_rank_law(c, d)
     try:
-        param, scheme = generate_curve_with_census(c, kappa, seed, tol=tol)
-        cm = equiclassical_conditions(param, scheme, iso_tol=tol)
+        _, scheme = generate_curve_with_census(c, kappa, seed, tol=tol)
+        cm = equiclassical_conditions(scheme, iso_tol=tol)
         if cm.rank() != cm.complex_rank:
             return TrialRecord(c, kappa, d, seed, "degenerate",
                                "real and complexified condition ranks differ")
@@ -81,8 +81,7 @@ def run_rank_trial(c: int, kappa: int, seed: int, tol: float = 1e-9) -> TrialRec
             return TrialRecord(
                 c, kappa, d, seed, "degenerate",
                 f"tangent dimension {len(basis)} != expected {c + d + 1}")
-        report = focal_jacobian(c, basis, scheme=scheme, param=param,
-                                expected_class=d)
+        report = focal_jacobian(c, basis, scheme=scheme)
     except _DEGENERATE as exc:
         return TrialRecord(c, kappa, d, seed, "degenerate",
                            f"{type(exc).__name__}: {exc}")

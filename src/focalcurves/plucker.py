@@ -98,6 +98,12 @@ def rational_node_count(c: int, kappa: int) -> int:
     return delta
 
 
+def focal_rank_law(c: int, d: int) -> tuple:
+    """Rank min(2c, c+d+1) and kernel dimension max(0, d-c+1) of the focal
+    map at a rational nodal-cuspidal dual curve of degree c and class d."""
+    return min(2 * c, c + d + 1), max(0, d - c + 1)
+
+
 @dataclass(frozen=True)
 class RiemannRochAlternative:
     expected_h0: int

@@ -28,7 +28,7 @@ from .errors import (
     GenerationExhausted,
     ZeroPolynomial,
 )
-from .poly import UniPoly, divided_difference_pair, unipoly_gcd_many
+from .poly import UniPoly, divided_difference_pair, unipoly_gcd, unipoly_gcd_many
 from .resultants import resultant_bipoly_in_s
 from .rootfind import find_roots
 from .scalars import to_complex
@@ -48,10 +48,13 @@ class Node:
 
 @dataclass(frozen=True)
 class Cusp:
-    """A parameter where the tangent map degenerates, with its image point."""
+    """A parameter where the tangent map degenerates, with its image point
+    and the second derivative of the parameterization there, both divided by
+    the same scalar."""
 
     param: complex
     point: np.ndarray
+    tangent: np.ndarray
     residual: float = 0.0
 
 
@@ -130,12 +133,14 @@ def _locate_cusps(param: RationalCurveParam, tol):
     cusps = []
     wfloats = [w.as_float() for w in (w1, w2, w3)]
     wscale = max(max((abs(c) for c in w.coeffs), default=0.0) for w in wfloats)
+    second = param.derivative().derivative()
     for r, _ in roots.roots:
-        point = _normalize_point(param.evaluate(r))
         resid = max(abs(to_complex(w.evaluate(r))) for w in wfloats)
         if resid > 1e-7 * max(wscale, 1.0):
             raise CensusMismatch(f"no cusp at parameter {r}")
-        cusps.append(Cusp(complex(r), point, resid))
+        raw = param.evaluate(r)
+        scale = raw[np.argmax(np.abs(raw))]
+        cusps.append(Cusp(complex(r), raw / scale, second.evaluate(r) / scale, resid))
     return cusps
 
 
@@ -145,9 +150,11 @@ def locate_singularities(param: RationalCurveParam, tol=1e-9) -> SingularityData
     Cusps are the common roots of the wedge components.  Nodes are the
     off-diagonal common zeros of the divided-difference pair (P, Q): the
     eliminant Res_s(P, Q) has both parameters of every node as roots (and
-    each cusp parameter as a double root), so its roots away from the cusps
-    are paired by their image points, each pair is Newton-polished on
-    (P, Q) and must then map to one point to 1e-7.  Raises CensusMismatch
+    each cusp parameter as a double root) once the power of c(t) it carries
+    is divided out, so its roots away from the cusps are paired by their
+    image points, each pair is Newton-polished on (P, Q) and must then map
+    to one point to 1e-7.  A node with a parameter at a root of c(t) or at
+    t = oo is therefore not found, and fails the count.  Raises CensusMismatch
     when a root is left unpaired, a pair does not meet, a cusp residual is
     too large, or the count differs from (c-1)(c-2)/2.
     """
@@ -165,6 +172,13 @@ def locate_singularities(param: RationalCurveParam, tol=1e-9) -> SingularityData
             elim = resultant_bipoly_in_s(P, Q)
         except ZeroPolynomial as exc:
             raise CensusMismatch("divided-difference system is degenerate") from exc
+        # any two roots of c(t) zero both grids, so the eliminant carries a
+        # power of c(t) that belongs to no node
+        if param.c.effective_degree() > 0 and not elim.is_zero():
+            g = unipoly_gcd(elim, param.c)
+            while g.effective_degree() > 0:
+                elim = elim.exact_div(g)
+                g = unipoly_gcd(elim, param.c)
         elim_f = elim.as_float()
         if elim_f.effective_degree(rel_tol=1e-12) < 1:
             troots = []

@@ -43,7 +43,7 @@ def rank_grid():
 def chart_system(degree, foci):
     """Focal linear system A alpha = b on the chart monomials."""
     monos = tuple(monomials_of_degree(degree, drop_top_w=True))
-    cm = ConditionMatrix(np.zeros((0, len(monos))), monos, degree, 0, 0, 0)
+    cm = ConditionMatrix(np.zeros((0, len(monos))), monos, 0)
     basis = tangent_space_basis(cm)
     a = restriction_matrix(degree, basis)
     target = UniPoly.from_roots([complex(x, y) for x, y in foci])

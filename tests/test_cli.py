@@ -152,6 +152,24 @@ def test_kernel_command(capsys):
     assert out["kernel_dim"] == out["shifted_section_dim"]
 
 
+def test_kernel_command_on_moving_third_component(capsys):
+    # the nodal cubic above under t = (2s + 1)/(s + 3): the eliminant carries
+    # the factor c(s)^2 = (s + 3)^6, whose root -3 belongs to no node
+    param = ('{"var":"t","components":['
+             '{"coeffs":[{"re":"-21/2","im":"0"},{"re":"-1/2","im":"0"},'
+             '{"re":"23/2","im":"0"},{"re":"7/2","im":"0"}]},'
+             '{"coeffs":[{"re":"1","im":"0"},{"re":"-9","im":"0"},'
+             '{"re":"2","im":"0"},{"re":"19/3","im":"0"}]},'
+             '{"coeffs":[{"re":"27","im":"0"},{"re":"27","im":"0"},'
+             '{"re":"9","im":"0"},{"re":"1","im":"0"}]}]}')
+    code, out = run_cli(capsys, "kernel", "--param", param)
+    assert code == 0
+    assert (out["delta"], out["kappa"]) == (1, 0)
+    assert out["rank"] == out["expected_rank"] == 6
+    assert out["kernel_dim"] == out["expected_kernel"] == 2
+    assert out["shifted_section_dim"] == 2
+
+
 def test_validation_error_is_machine_readable(capsys):
     code, out = run_cli(capsys, "foci", "--dual", '{"bad": true}')
     assert code == 2
